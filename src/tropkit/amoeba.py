@@ -3,10 +3,12 @@
 The amoeba of a polynomial ``f`` on (C*)² is the image of its zero set under
 ``Log_h(z) = (h·log|z₁|, h·log|z₂|)``.  It is sampled fiberwise: fixing
 ``x₁`` (hence ``|z₁| = exp(x₁/h)``) and sweeping the phase of ``z₁``, the
-roots of the resulting univariate polynomial in ``z₂`` are computed exactly
-(companion matrix plus a Newton polish), and each root contributes the point
-``(x₁, h·log|z₂|)``.  Slicing is done in both coordinate directions so that
-tentacles of every orientation are resolved.
+roots of the resulting univariate polynomials in ``z₂`` are computed for all
+phases of the fiber at once: one stacked companion-matrix eigensolve (the
+matrices ``np.roots`` would build, one per phase) plus a vectorized Newton
+polish, and each root contributes the point ``(x₁, h·log|z₂|)``.  Slicing is
+done in both coordinate directions so that tentacles of every orientation
+are resolved.
 
 The tropical counterpart is the corner locus of ``max_a (v_a + ⟨a, x⟩)``: a
 planar piecewise-linear set of vertices, edges and rays computed from
@@ -26,6 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .dequantize import SparsePolynomial
+from .errors import ScaleRangeError
 
 __all__ = [
     "Window",
@@ -128,6 +131,11 @@ def deform_polynomial(f: SparsePolynomial, h: float) -> SparsePolynomial:
     The deformation matches ``Log_h`` in the sense that the valuation of the
     deformed coefficient seen at scale h, ``h·log|c|^{1/h} = log|c|``, is
     h-independent.
+
+    Raises
+    ------
+    ScaleRangeError
+        If some ``|c|^{1/h}`` overflows or underflows double range.
     """
     h = float(h)
     if not h > 0:
@@ -137,7 +145,16 @@ def deform_polynomial(f: SparsePolynomial, h: float) -> SparsePolynomial:
     terms = []
     for e, c in f.terms:
         mag = abs(c)
-        terms.append((e, (c / mag) * mag ** (1.0 / h)))
+        try:
+            scaled = mag ** (1.0 / h)
+        except OverflowError:
+            scaled = math.inf
+        if not 0.0 < scaled < math.inf:
+            raise ScaleRangeError(
+                f"coefficient {c:g} of exponent {e} leaves double range at h={h:g}: "
+                f"|c|^(1/h) = exp({math.log(mag) / h:.4g})"
+            )
+        terms.append((e, (c / mag) * scaled))
     return SparsePolynomial(f.dim, tuple(terms))
 
 
@@ -147,9 +164,12 @@ def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
     """Roots in ``z₂`` over the circle ``|z₁| = exp(x₁/h)``.
 
     Returns ``(thetas, roots, residuals)``: for each phase sample and each
-    nonzero root, the normalized residual ``|f(z)| / Σ_a |c_a z^a|``.  Phases
-    where the univariate slice polynomial vanishes identically are flagged
-    with a warning and skipped.
+    nonzero root, phase-major and in eigenvalue order, the normalized
+    residual ``|f(z)| / Σ_a |c_a z^a|``.  Phases whose slice polynomials
+    strip alike share one stacked companion eigensolve, built as ``np.roots``
+    builds it; the Newton polish and the residuals run over all roots of the
+    fiber at once.  Phases where the slice polynomial vanishes identically
+    are flagged with a warning and skipped.
     """
     if f.dim != 2:
         raise ValueError("amoeba slicing expects a bivariate polynomial")
@@ -170,54 +190,63 @@ def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
     for (a1, a2), c in zip(exps, coeffs):
         cmat[:, a2] += c * math.exp(a1 * x1 / h) * np.exp(1j * a1 * thetas)
 
-    out_thetas: list[float] = []
-    out_roots: list[complex] = []
-    out_res: list[float] = []
-    degenerate = 0
-    for t in range(angle_samples):
-        ascending = cmat[t]
-        if not np.any(ascending != 0):
-            degenerate += 1
+    desc = cmat[:, ::-1]  # highest degree first, as np.roots and np.polyval take it
+    deriv = desc[:, :-1] * np.arange(deg2, 0, -1)
+    nonzero = desc != 0
+    live = nonzero.any(axis=1)
+    first = np.argmax(nonzero, axis=1)
+    last = deg2 - np.argmax(nonzero[:, ::-1], axis=1)
+    # np.roots strips zero coefficients at both ends; rows stripped alike share
+    # one eigensolve, and the trailing zeros it strips are zero roots, dropped
+    spans = set(zip(first[live].tolist(), last[live].tolist()))
+    rows, roots = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
+    for lo, hi in spans:
+        if hi == lo:
             continue
-        roots = np.roots(ascending[::-1])
-        roots = roots[roots != 0]
-        if roots.size == 0:
-            continue
-        # one Newton polish pass against the slice polynomial
-        deriv = np.polyder(ascending[::-1])
-        for _ in range(2):
-            pv = np.polyval(ascending[::-1], roots)
-            dv = np.polyval(deriv, roots)
+        grp = np.flatnonzero(live & (first == lo) & (last == hi))
+        comp = np.zeros((grp.size, hi - lo, hi - lo), dtype=complex)
+        comp[:, 1:, :-1] = np.eye(hi - lo - 1)
+        comp[:, 0, :] = -desc[grp, lo + 1 : hi + 1] / desc[grp, lo, None]
+        r = np.linalg.eigvals(comp)
+        keep = r != 0
+        for _ in range(2):  # Newton polish against the full slice polynomial
+            pv = _horner(desc[grp], r)
+            dv = _horner(deriv[grp], r)
             ok = dv != 0
-            roots = np.where(ok, roots - np.where(ok, pv, 0) / np.where(ok, dv, 1), roots)
-        roots = roots[roots != 0]
-        if roots.size == 0:
-            continue
-        z1 = math.exp(x1 / h) * np.exp(1j * thetas[t])
-        vals = np.zeros(roots.shape, dtype=complex)
-        scale = np.zeros(roots.shape, dtype=float)
-        for (a1, a2), c in zip(exps, coeffs):
-            term = c * z1**a1 * roots**a2
-            vals += term
-            scale += np.abs(term)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            res = np.abs(vals) / scale
-        for r, rr in zip(roots, res):
-            if np.isfinite(rr):
-                out_thetas.append(float(thetas[t]))
-                out_roots.append(complex(r))
-                out_res.append(float(rr))
+            r = np.where(ok, r - np.where(ok, pv, 0) / np.where(ok, dv, 1), r)
+        keep &= r != 0
+        rows.append(np.broadcast_to(grp[:, None], r.shape)[keep])
+        roots.append(r[keep])
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")  # phase-major, eigenvalue order within
+    rows, roots = rows[order], np.concatenate(roots)[order]
+
+    z1 = (math.exp(x1 / h) * np.exp(1j * thetas))[rows]
+    vals = np.zeros(roots.shape, dtype=complex)
+    scale = np.zeros(roots.shape, dtype=float)
+    for (a1, a2), c in zip(exps, coeffs):
+        term = c * z1**a1 * roots**a2
+        vals += term
+        scale += np.abs(term)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        res = np.abs(vals) / scale
+    finite = np.isfinite(res)
+    degenerate = angle_samples - int(live.sum())
     if degenerate:
         warnings.warn(
             f"slice x1={x1:g}: {degenerate} phase(s) gave an identically zero "
             "polynomial; skipped",
             stacklevel=2,
         )
-    return (
-        np.array(out_thetas),
-        np.array(out_roots, dtype=complex),
-        np.array(out_res),
-    )
+    return thetas[rows[finite]], roots[finite], res[finite]
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.polyval``: ``coeffs`` is ``(T, D)`` descending, ``z`` is ``(T, k)``."""
+    y = np.zeros_like(z)
+    for c in coeffs.T:
+        y = y * z + c[:, None]
+    return y
 
 
 def amoeba_slice(

@@ -32,7 +32,11 @@ class DomainTooSmallError(ValueError):
 
 
 class ScaleRangeError(ValueError):
-    """A requested scale probes a region carrying no data (e.g. zero mass)."""
+    """A requested scale falls outside what the data or the arithmetic covers.
+
+    Raised when a scale probes a region carrying no data (e.g. zero mass),
+    and when a deformed coefficient ``|c|^{1/h}`` leaves double range.
+    """
 
 
 class InputFormatError(ValueError):

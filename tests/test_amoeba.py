@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropkit import (
     AmoebaSample,
     PlanarPLSet,
+    ScaleRangeError,
     SparsePolynomial,
     TropicalPolynomial,
     Window,
@@ -35,6 +38,63 @@ def eval_bivariate(f, z1, z2):
         total += term
         scale += abs(term)
     return total, scale
+
+
+def reference_slice_roots(f, h, x1, angle_samples):
+    """One ``np.roots`` call per phase, then two ``np.polyval`` Newton passes.
+
+    This is the per-phase loop that ``slice_roots`` replaces with a stacked
+    eigensolve; its thetas and roots must come out bit for bit the same.
+    """
+    exps = np.array(f.support, dtype=int)
+    coeffs = f.coefficient_array()
+    deg2 = int(exps[:, 1].max())
+    thetas = 2.0 * np.pi * np.arange(angle_samples) / angle_samples
+    cmat = np.zeros((angle_samples, deg2 + 1), dtype=complex)
+    for (a1, a2), c in zip(exps, coeffs):
+        cmat[:, a2] += c * math.exp(a1 * x1 / h) * np.exp(1j * a1 * thetas)
+    out_thetas, out_roots, out_res = [], [], []
+    for t in range(angle_samples):
+        desc = cmat[t][::-1]
+        if not np.any(desc != 0):
+            continue
+        roots = np.roots(desc)
+        roots = roots[roots != 0]
+        deriv = np.polyder(desc)
+        for _ in range(2):
+            pv = np.polyval(desc, roots)
+            dv = np.polyval(deriv, roots)
+            ok = dv != 0
+            roots = np.where(ok, roots - np.where(ok, pv, 0) / np.where(ok, dv, 1), roots)
+        roots = roots[roots != 0]
+        z1 = math.exp(x1 / h) * np.exp(1j * thetas[t])
+        vals = np.zeros(roots.shape, dtype=complex)
+        scale = np.zeros(roots.shape)
+        for (a1, a2), c in zip(exps, coeffs):
+            term = c * z1**a1 * roots**a2
+            vals += term
+            scale += np.abs(term)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            res = np.abs(vals) / scale
+        keep = np.isfinite(res)
+        out_thetas += [float(thetas[t])] * int(keep.sum())
+        out_roots += roots[keep].tolist()
+        out_res += res[keep].tolist()
+    return (
+        np.array(out_thetas),
+        np.array(out_roots, dtype=complex),
+        np.array(out_res),
+    )
+
+
+def assert_matches_reference(f, h, x1, angle_samples):
+    thetas, roots, residuals = slice_roots(f, h, x1, angle_samples)
+    ref_thetas, ref_roots, ref_residuals = reference_slice_roots(f, h, x1, angle_samples)
+    assert thetas.tobytes() == ref_thetas.tobytes()
+    assert roots.tobytes() == ref_roots.tobytes()
+    assert np.array_equal(residuals <= 1e-9, ref_residuals <= 1e-9)
+    assert np.all(np.diff(thetas) >= 0.0)  # phase-major
+    return thetas, roots, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +154,17 @@ def test_deform_unit_moduli_fixed():
         assert tropical_data(g).terms == tropical_data(f).terms
 
 
+def test_deform_out_of_range_is_typed():
+    # log 3 / h exceeds the double exponent range at h = 0.001
+    f = SparsePolynomial(2, (((0, 0), 3.0), ((1, 0), 1.0), ((0, 1), 1.0)))
+    with pytest.raises(ScaleRangeError, match=r"coefficient 3.*h=0\.001"):
+        deform_polynomial(f, 0.001)
+    tiny = SparsePolynomial(2, (((0, 0), 1e-3), ((1, 0), 1.0)))
+    with pytest.raises(ScaleRangeError):
+        deform_polynomial(tiny, 0.001)  # (1e-3)^1000 underflows to zero
+    assert dict(deform_polynomial(f, 0.01).terms)[(0, 0)] == pytest.approx(3.0**100, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # slices
 # ---------------------------------------------------------------------------
@@ -142,6 +213,56 @@ def test_degenerate_phase_warns():
     f = SparsePolynomial(2, (((0, 1), 1.0), ((1, 1), -1.0)))
     with pytest.warns(UserWarning, match="identically zero"):
         slice_roots(f, 1.0, 0.0, 4)
+    # (1 - z₁)(z₂ - 2) vanishes at θ = 0 as well; the other three phases keep
+    # their root z₂ = 2 (the fibers of y - xy above carry only the root zero)
+    g = SparsePolynomial(
+        2, (((0, 1), 1.0), ((1, 1), -1.0), ((0, 0), -2.0), ((1, 0), 2.0))
+    )
+    with pytest.warns(UserWarning, match="1 phase"):
+        thetas, roots, residuals = assert_matches_reference(g, 1.0, 0.0, 4)
+    assert thetas.tolist() == [math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0]
+    assert np.allclose(roots, 2.0, rtol=0.0, atol=1e-12)
+    assert np.all(residuals <= 1e-9)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # (1 - z₁)·z₂² + z₂ + 1: the leading coefficient vanishes, degree drops
+        (((0, 2), 1.0), ((1, 2), -1.0), ((0, 1), 1.0), ((0, 0), 1.0)),
+        # (1 - z₁) + z₂ + z₂²: the constant vanishes, its zero root is dropped
+        (((0, 0), 1.0), ((1, 0), -1.0), ((0, 1), 1.0), ((0, 2), 1.0)),
+    ],
+    ids=["leading", "constant"],
+)
+@pytest.mark.parametrize("angle_samples", [1, 4, 16, 64])
+def test_mixed_degree_fiber(terms, angle_samples):
+    f = SparsePolynomial(2, terms)
+    thetas, roots, _ = assert_matches_reference(f, 1.0, 0.0, angle_samples)
+    # θ = 0 leaves the single root z₂ = -1; every other phase keeps two roots
+    assert np.count_nonzero(thetas == 0.0) == 1
+    assert roots[0] == pytest.approx(-1.0, abs=1e-12)
+    assert thetas.size == 2 * angle_samples - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    support=st.sets(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8
+    ),
+    data=st.data(),
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    x1=st.floats(-3.0, 3.0),
+    angle_samples=st.sampled_from([1, 3, 16, 64]),
+)
+def test_slice_roots_matches_per_phase_np_roots(support, data, h, x1, angle_samples):
+    moduli = st.floats(0.1, 10.0)
+    phases = st.floats(0.0, 2.0 * math.pi)
+    terms = tuple(
+        (e, data.draw(moduli) * cmath.exp(1j * data.draw(phases)))
+        for e in sorted(support)
+    )
+    assert_matches_reference(SparsePolynomial(2, terms), h, x1, angle_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,29 @@ def test_converge_command(poly_file, capsys):
     assert d1 > d2 > 0.0
 
 
+def test_converge_overflowing_deformation_is_one_error_line(tmp_path, capsys):
+    # log 3 / 0.001 ≈ 1099 exceeds double range, so 3^{1/h} cannot be formed
+    p = tmp_path / "p.json"
+    p.write_text(
+        json.dumps(
+            {
+                "dim": 2,
+                "terms": [
+                    {"exp": [0, 0], "re": 3.0},
+                    {"exp": [1, 0], "re": 1.0},
+                    {"exp": [0, 1], "re": 1.0},
+                ],
+            }
+        )
+    )
+    assert main(["converge", str(p), "--window=-3,3,-3,3", "--h", "0.001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: coefficient 3")
+    assert "h=0.001" in err[0]
+
 def test_output_dir_env(tmp_path, monkeypatch, poly_file, capsys):
     monkeypatch.setenv("TROPKIT_OUTPUT_DIR", str(tmp_path / "results"))
     assert main(["newton", poly_file, "-o", "p.json"]) == 0
