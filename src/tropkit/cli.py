@@ -2,13 +2,11 @@
 
 One subcommand per capability; every command accepts ``--selftest`` (runs its
 built-in sanity examples and exits), ``--seed`` (fixes the RNG where one is
-used), ``--output`` (file instead of stdout; relative paths resolve against
-``$TROPKIT_OUTPUT_DIR`` when set) and ``--jobs`` (a parallelism budget —
-currently informational, since all kernels are vectorized and results are
-order-independent either way).  Scalar output is printed with 12 significant
-digits; grid files use the bit-exact CSV format.  Exit codes: 0 success,
-1 domain error (divergence, empty result, invalid parameter), 2 malformed
-input or usage.
+used) and ``--output`` (file instead of stdout; relative paths resolve
+against ``$TROPKIT_OUTPUT_DIR`` when set).  Scalar output is printed with 12
+significant digits; grid files use the bit-exact CSV format.  Exit codes:
+0 success, 1 domain error (divergence, empty result, invalid parameter),
+2 malformed input or usage.
 """
 from __future__ import annotations
 
@@ -686,7 +684,6 @@ def _selftest_converge():
 def _add_common(sub, svg: bool = False) -> None:
     sub.add_argument("--output", "-o", default=None, help="write here instead of stdout")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed for randomized checks")
-    sub.add_argument("--jobs", type=int, default=1, help="parallelism budget (results never depend on it)")
     sub.add_argument("--selftest", action="store_true", help="run built-in sanity examples and exit")
     if svg:
         sub.add_argument("--svg", default=None, help="also write an SVG preview here")

@@ -3,17 +3,19 @@
 Matrix addition and multiplication are the semiring lifts of ⊕ and ⊙; over
 min-plus, ``mat_mul`` is the classical (min, +) product whose powers encode
 shortest walks, and the Kleene star ``A* = I ⊕ A ⊕ A² ⊕ ...`` collects walks
-of every length.  The stationary Bellman equation ``X = H ⊙ X ⊕ F`` has the
-least solution ``X = H* ⊙ F``, reachable by simple iteration from ``X = F``;
-both a Jacobi (simultaneous) and a Gauss-Seidel (in-place, ascending row
-sweeps) scheme are provided.
+of every length.  Over an idempotent semiring the star is computed as a
+Floyd–Warshall closure in O(n³) time and O(n²) memory; a matrix with a
+⊙-improving cycle (max-plus: positive cycle weight; min-plus: negative cycle
+weight) has no star, which the closure shows as a diagonal entry other than
+the unit and reports as :class:`~tropkit.errors.DivergenceError`.
 
-Iterations over an idempotent semiring are monotone in the standard order, so
-stabilization is detected by exact equality of consecutive iterates.  A
-matrix with a ⊙-positive cycle (max-plus: positive cycle weight; min-plus:
-negative cycle weight) never stabilizes; that is reported as
-:class:`~tropkit.errors.DivergenceError` after the iteration budget plus one
-verification pass.
+The stationary Bellman equation ``X = H ⊙ X ⊕ F`` has the least solution
+``X = H* ⊙ F``, reachable by simple iteration from ``X = F``; both a Jacobi
+(simultaneous) and a Gauss-Seidel (in-place, ascending row sweeps over each
+row's stored entries) scheme are provided.  Iterations over an idempotent
+semiring are monotone in the standard order, so stabilization is detected by
+exact equality of consecutive iterates; iterates that still change after the
+budget plus one verification pass raise :class:`DivergenceError`.
 """
 from __future__ import annotations
 
@@ -32,6 +34,10 @@ __all__ = [
     "parse_edge_list",
     "shortest_path_distances",
 ]
+
+
+# Largest stacked ``a ⊙ b`` block a matrix product evaluates at once (16 MiB).
+_BLOCK_ELEMENTS = 2**21
 
 
 class SemiringMatrix:
@@ -114,9 +120,15 @@ def _reduce(values: np.ndarray, axis, spec: Semiring) -> np.ndarray:
 
 def _product_entries(a: np.ndarray, b: np.ndarray, spec: Semiring) -> np.ndarray:
     # Same-signed infinities add cleanly, so no guard is needed inside the
-    # validated carrier: bottom rows/columns propagate as bottom.
-    stacked = a[:, :, None] + b[None, :, :]
-    return _reduce(stacked, 1, spec)
+    # validated carrier: bottom rows/columns propagate as bottom.  Each output
+    # row is reduced on its own, so evaluating the stacked sums a block of
+    # rows at a time gives the same entries in bounded memory.
+    out = np.empty((a.shape[0], b.shape[1]))
+    step = max(1, _BLOCK_ELEMENTS // b.size)
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        out[rows] = _reduce(a[rows, :, None] + b[None, :, :], 1, spec)
+    return out
 
 
 def mat_add(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
@@ -135,25 +147,44 @@ def mat_mul(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
     return SemiringMatrix(_product_entries(a.entries, b.entries, spec), spec)
 
 
-def kleene_star(a: SemiringMatrix, max_iter: int | None = None) -> SemiringMatrix:
-    """Partial sums of ``I ⊕ A ⊕ A² ⊕ ...`` iterated to exact stabilization.
+def kleene_star(a: SemiringMatrix) -> SemiringMatrix:
+    """The closure ``A* = I ⊕ A ⊕ A² ⊕ ...``: best walk weights of every length.
 
-    Uses ``S ← A ⊙ S ⊕ I`` (so after k steps S holds the sum through A^k).
-    Defaults to a budget of ``2·n`` iterations; stabilization is exact
-    equality of consecutive iterates.  If the budget is exhausted, one extra
-    iteration decides between a late fixed point and divergence.
+    Over an idempotent semiring (max-plus, min-plus) this is the Floyd–Warshall
+    closure: starting from ``D = A ⊕ I``, each node k in turn relays
+    ``D ← D ⊕ D[:, k] ⊙ D[k, :]``, in O(n³) time and O(n²) memory.  Divergence
+    is read off the diagonal: an entry other than the unit is a cycle that
+    keeps improving walk weights.  Over ``subtropical(h)``, whose ⊕ is not
+    idempotent and would count a walk more than once under relaying, the
+    partial sums ``S ← A ⊙ S ⊕ I`` are iterated to exact stabilization within
+    ``2·n`` steps, and one extra step decides between a late fixed point and
+    divergence.
 
     Raises
     ------
     DivergenceError
-        If the extra iteration still changes an entry (a ⊙-positive cycle).
+        If the matrix has a ⊙-improving cycle (or, over ``subtropical(h)``,
+        the series is still changing after the extra step).
     """
     if a.rows != a.cols:
         raise ValueError("Kleene star requires a square matrix")
-    n = a.rows
-    if max_iter is None:
-        max_iter = 2 * n
-    eye = SemiringMatrix.identity(n, a.spec)
+    spec = a.spec
+    if not spec.is_idempotent:
+        return _kleene_series(a)
+    d = mat_add(a, SemiringMatrix.identity(a.rows, spec)).entries
+    for k in range(a.rows):
+        d = spec.add(d, d[:, k, None] + d[k])
+    if np.any(d.diagonal() != spec.one):
+        raise DivergenceError(
+            "Kleene star does not exist: the matrix has a cycle that keeps "
+            "improving path weights"
+        )
+    return SemiringMatrix(d, spec)
+
+
+def _kleene_series(a: SemiringMatrix) -> SemiringMatrix:
+    max_iter = 2 * a.rows
+    eye = SemiringMatrix.identity(a.rows, a.spec)
     s = eye
     for _ in range(max_iter):
         nxt = mat_add(mat_mul(a, s), eye)
@@ -214,11 +245,15 @@ def solve_bellman(
         def step(x: np.ndarray) -> np.ndarray:
             return spec.add(_product_entries(he, x, spec), fe)
     else:
+        # Bottom entries of H are ⊕-neutral terms, so each row reads only its
+        # stored ones.  A row with none keeps x[i] = F[i], the starting value.
+        stored = [np.flatnonzero(row != spec.zero) for row in he]
+        rows = [(i, cols, he[i, cols]) for i, cols in enumerate(stored) if cols.size]
+
         def step(x: np.ndarray) -> np.ndarray:
             x = x.copy()
-            for i in range(n):
-                hx = spec.mul(he[i][:, None], x)
-                x[i] = spec.add(_reduce(hx, 0, spec), fe[i])
+            for i, cols, w in rows:
+                x[i] = spec.add(_reduce(w[:, None] + x[cols], 0, spec), fe[i])
             return x
 
     x = fe.copy()

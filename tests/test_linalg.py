@@ -1,14 +1,19 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from tropkit import (
     DivergenceError,
     InputFormatError,
     SemiringMatrix,
     kleene_star,
+    linalg,
     mat_add,
     mat_mul,
     maxplus,
@@ -16,6 +21,7 @@ from tropkit import (
     parse_edge_list,
     shortest_path_distances,
     solve_bellman,
+    subtropical,
 )
 
 RNG = np.random.default_rng(411)
@@ -136,6 +142,206 @@ def test_star_matches_truncated_powers():
         power = mat_mul(power, a)
         acc = mat_add(acc, power)
     assert star == acc  # integer weights: equality is exact
+
+
+def test_star_memory_is_quadratic():
+    # 4 out-edges per node; a series of dense products would build an n³ cube
+    n = 400
+    rng = np.random.default_rng(7)
+    entries = np.full((n, n), INF)
+    for i in range(n):
+        entries[i, rng.choice(n, 4, replace=False)] = rng.integers(1, 10, size=4)
+    w = SemiringMatrix(entries, minplus())
+    tracemalloc.start()
+    try:
+        kleene_star(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# the closure, the sweeps and the blocked product against dense references
+# ---------------------------------------------------------------------------
+
+def dense_reduce(values, axis, spec):
+    """⊕-reduction of every term, bottom ones included."""
+    if spec.variant == "maxplus":
+        return values.max(axis=axis)
+    if spec.variant == "minplus":
+        return values.min(axis=axis)
+    with np.errstate(divide="ignore"):
+        return spec.h * logsumexp(values / spec.h, axis=axis)
+
+
+def series_star(a):
+    """The partial sums ``S ← A ⊙ S ⊕ I`` over a dense n³ product.
+
+    Stops at the first exact repeat within 2n + 1 steps, else diverges.
+    """
+    spec, e = a.spec, a.entries
+    eye = SemiringMatrix.identity(a.rows, spec).entries
+    s = eye
+    for _ in range(2 * a.rows + 1):
+        nxt = spec.add(dense_reduce(e[:, :, None] + s[None, :, :], 1, spec), eye)
+        if np.array_equal(nxt, s):
+            return s
+        s = nxt
+    raise DivergenceError("series did not stabilize")
+
+
+def dense_gauss_seidel(h, f):
+    """Ascending row sweeps reading every entry of a row through ``Semiring.mul``."""
+    spec, he = h.spec, h.entries
+    x = f.entries.copy()
+    for _ in range(2 * h.rows + 1):
+        prev = x.copy()
+        for i in range(h.rows):
+            x[i] = spec.add(dense_reduce(spec.mul(he[i][:, None], x), 0, spec), f.entries[i])
+        if np.array_equal(x, prev):
+            return x
+    raise DivergenceError("sweeps did not stabilize")
+
+
+def outcome(fn, *args):
+    """The entries ``fn`` returns, or the string ``"diverged"``."""
+    try:
+        out = fn(*args)
+    except DivergenceError:
+        return "diverged"
+    return out.entries if isinstance(out, SemiringMatrix) else out
+
+
+@st.composite
+def digraphs(draw, weights, max_n=8, plant=False):
+    """``(n, entries)`` with ``None`` for an absent edge; optionally a planted
+    cycle 0 → 1 → … → c−1 → 0 of total weight −1."""
+    n = draw(st.integers(1, max_n))
+    cells = draw(st.lists(st.one_of(st.none(), weights), min_size=n * n, max_size=n * n))
+    entries = [cells[i * n:(i + 1) * n] for i in range(n)]
+    if plant and draw(st.booleans()):
+        c = draw(st.integers(1, n))
+        for i in range(c):
+            entries[i][(i + 1) % c] = -1.0 if i == 0 else 0.0
+    return n, entries
+
+
+def as_matrix(entries, spec, sign=1.0):
+    """Weights given in min-plus sense; ``sign = -1`` turns them into max-plus ones."""
+    return SemiringMatrix(
+        [[spec.zero if v is None else sign * v for v in row] for row in entries], spec
+    )
+
+
+IDEMPOTENT = [(minplus(), 1.0), (maxplus(), -1.0)]
+INT_WEIGHTS = st.integers(-5, 9).map(float)
+
+
+@pytest.mark.parametrize("spec, sign", IDEMPOTENT)
+@settings(max_examples=100, deadline=None)
+@given(graph=digraphs(INT_WEIGHTS, plant=True))
+def test_star_matches_series_on_integer_weights(spec, sign, graph):
+    # integer sums are exact: the closure and the series agree bit for bit,
+    # and diverge on exactly the same matrices
+    a = as_matrix(graph[1], spec, sign)
+    new, old = outcome(kleene_star, a), outcome(series_star, a)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("spec, sign", IDEMPOTENT)
+@settings(max_examples=100, deadline=None)
+@given(graph=digraphs(st.floats(0.0, 10.0)))
+def test_star_matches_series_on_real_weights(spec, sign, graph):
+    # no improving cycle; a path's sum is associated differently by the two
+    # algorithms, so each entry agrees within n·2⁻⁵² relative
+    n, entries = graph
+    a = as_matrix(entries, spec, sign)
+    new, old = kleene_star(a).entries, series_star(a)
+    assert np.array_equal(np.isinf(new), np.isinf(old))
+    finite = np.isfinite(old)
+    assert np.all(np.abs(new[finite] - old[finite]) <= n * 2.0**-52 * np.abs(old[finite]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    graph=digraphs(st.floats(-60.0, -20.0), max_n=6),
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+)
+def test_subtropical_star_is_the_series(graph, h):
+    a = as_matrix(graph[1], subtropical(h))
+    new, old = outcome(kleene_star, a), outcome(series_star, a)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert np.array_equal(new, old)
+
+
+@st.composite
+def bellman_systems(draw, weights, max_n=10):
+    """``(h_entries, f)``: a system with one row of H that stores nothing."""
+    n, entries = draw(digraphs(weights, max_n=max_n))
+    empty = draw(st.integers(0, n - 1))
+    entries[empty] = [None] * n
+    m = draw(st.integers(1, 3))
+    f = draw(st.lists(st.lists(st.integers(-5, 5).map(float), min_size=m, max_size=m),
+                      min_size=n, max_size=n))
+    return entries, f
+
+
+@pytest.mark.parametrize("spec, sign", IDEMPOTENT)
+@settings(max_examples=100, deadline=None)
+@given(system=bellman_systems(INT_WEIGHTS))
+def test_gauss_seidel_matches_dense_sweeps(spec, sign, system):
+    entries, f = system
+    h = as_matrix(entries, spec, sign)
+    fm = SemiringMatrix([[sign * v for v in row] for row in f], spec)
+    new = outcome(solve_bellman, h, fm, "gauss-seidel")
+    old = outcome(dense_gauss_seidel, h, fm)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert np.array_equal(new, old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=bellman_systems(st.floats(-60.0, -20.0), max_n=12),
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+)
+def test_subtropical_gauss_seidel_matches_dense_sweeps(system, h):
+    # Dropping the bottom terms leaves every ⊕-sum the same, and the columns
+    # of a multi-column F are summed term by term in row order, so those agree
+    # bit for bit.  NumPy sums a single contiguous column pairwise once it has
+    # 8 terms, and the grouping changes when bottom terms are left out: there
+    # each entry agrees within n²·2⁻⁵² of max(1, |x|).
+    entries, f = system
+    n, spec = len(entries), subtropical(h)
+    hm, fm = as_matrix(entries, spec), SemiringMatrix(f, spec)
+    new = outcome(solve_bellman, hm, fm, "gauss-seidel")
+    old = outcome(dense_gauss_seidel, hm, fm)
+    assert not isinstance(old, str)
+    if len(f[0]) > 1 or n < 8:
+        assert np.array_equal(new, old)
+    else:
+        assert np.all(np.abs(new - old) <= n * n * 2.0**-52 * np.maximum(1.0, np.abs(old)))
+
+
+@pytest.mark.parametrize("spec", [maxplus(), minplus(), subtropical(0.5)])
+def test_blocked_product_matches_dense(spec, monkeypatch):
+    # blocks of 1, 2 and 3 rows, with a short last block
+    rng = np.random.default_rng(12)
+    bottom = spec.zero
+    a = np.where(rng.random((7, 5)) < 0.2, bottom, rng.integers(-4, 5, (7, 5)).astype(float))
+    b = np.where(rng.random((5, 3)) < 0.2, bottom, rng.integers(-4, 5, (5, 3)).astype(float))
+    dense = dense_reduce(a[:, :, None] + b[None, :, :], 1, spec)
+    am, bm = SemiringMatrix(a, spec), SemiringMatrix(b, spec)
+    for block in (15, 30, 45, 10**6):
+        monkeypatch.setattr(linalg, "_BLOCK_ELEMENTS", block)
+        assert np.array_equal(mat_mul(am, bm).entries, dense)
 
 
 # ---------------------------------------------------------------------------
