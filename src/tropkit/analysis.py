@@ -266,11 +266,67 @@ def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
     return GridFunction(dom, out, spec)
 
 
+def _upper_hull(x: np.ndarray, c: np.ndarray):
+    """Upper convex hull of ``(x_j, c_j)`` for strictly increasing ``x``.
+
+    Returns the indices of its vertices and the slopes of its edges.  A
+    point is kept only where the slope strictly decreases, so the slopes
+    decrease strictly and there is one more vertex than slopes.
+    """
+    verts, slopes = [], []
+    xs, cs = x.tolist(), c.tolist()
+    for j, (xj, cj) in enumerate(zip(xs, cs)):
+        while verts:
+            s = (cj - cs[verts[-1]]) / (xj - xs[verts[-1]])
+            if not slopes or s < slopes[-1]:
+                break
+            verts.pop()
+            slopes.pop()
+        if verts:
+            slopes.append(s)
+        verts.append(j)
+    return np.array(verts), np.array(slopes)
+
+
+def _sup_affine(x: np.ndarray, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """``max_j (ξ·x_j + c_j)`` for every ξ; -inf entries of ``c`` drop out.
+
+    In exact arithmetic the maximiser is the vertex of the finite points'
+    upper hull where the edge slopes cross −ξ.  In floats, the rounding of
+    ``ξ·x_j`` and of the slopes can let another point win by an ulp where it
+    lies within rounding error of the supporting line: a near-tie, such as
+    ξ equal to the slope of a collinear run.  So the candidates for ξ are
+    the points within ``tol`` below the hull, from the vertex before to the
+    vertex after the run of vertices whose edge slopes lie within ``tol/σ``
+    of −ξ (σ the least gap between the x_j).  ``tol`` is 8 ulps of the
+    largest ``|ξ·x| + |c|``, above the rounding of either.  Away from slope
+    ties the candidates are the optimal vertex and its two neighbours.
+    """
+    finite = np.flatnonzero(c != -np.inf)
+    if finite.size == 0:
+        return np.full(xi.shape, -np.inf)
+    x, c = x[finite], c[finite]
+    verts, slopes = _upper_hull(x, c)
+    tol = 8.0 * np.finfo(float).eps * (np.abs(xi).max() * np.abs(x).max() + np.abs(c).max())
+    near = np.flatnonzero(np.interp(x, x[verts], c[verts]) - c <= tol)
+    at = np.searchsorted(near, verts)  # each vertex's position among the near points
+    band = tol / np.diff(x).min() if x.size > 1 else 0.0
+    lo = np.searchsorted(-slopes, xi - band, side="left")
+    hi = np.searchsorted(-slopes, xi + band, side="right")
+    start = at[np.maximum(lo - 1, 0)]
+    count = at[np.minimum(hi + 1, verts.size - 1)] + 1 - start
+    offsets = np.cumsum(count) - count
+    pick = near[np.arange(count.sum()) - np.repeat(offsets - start, count)]
+    # ⟨ξ, x⟩ as a sum from +0.0, like a dot product: ξ·x = -0.0 becomes +0.0
+    dot = np.repeat(xi, count) * x[pick] + 0.0
+    values = dot + c[pick]
+    return np.maximum.reduceat(values, offsets)
+
+
 def legendre_transform(
     phi: GridFunction,
     xi_domain: GridDomain,
     mode: str = "additive",
-    chunk: int = 512,
 ) -> GridFunction:
     """Legendre-type transform of a max-plus grid function.
 
@@ -291,6 +347,26 @@ def legendre_transform(
     -------
     GridFunction
         Max-plus function on the ξ-grid.
+
+    Notes
+    -----
+    In 1-D, with ``c = φ`` or ``−φ``, a supremum of the affine functions
+    ``ξ x_j + c_j`` over finitely many points is attained at a vertex of the
+    upper convex hull of the points ``(x_j, c_j)``: the vertex where the
+    hull's decreasing edge slopes cross −ξ.  The transform builds that hull
+    once (a monotone chain, O(N)) and finds each ξ's vertex by binary search
+    on the slopes (O(M log N)).  It evaluates the expression of the full
+    M×N scan, ``ξ·x_j + c_j``, at that vertex and its two neighbours, and at
+    any further point within rounding error of the supporting line, and
+    keeps the largest; so it gives the scan's result without forming the
+    M×N block.  Memory is O(N + M).
+
+    Because ``⟨ξ, x⟩ = Σ_i ξ_i x_i``, the sup over a product grid nests, one
+    axis at a time: ``sup_{x_d} ξ_d x_d + … + sup_{x_1} (ξ_1 x_1 + c(x))``.
+    So in d ≥ 2 the 1-D pass runs along each axis in turn, over every line
+    of the grid (one pass per line, never an M^d × N^d block); the float
+    additions then happen in another order than in ``⟨ξ, x⟩ + c``, which
+    moves results by a few ulps.
     """
     if phi.spec.variant != "maxplus":
         raise ValueError("Legendre transform expects a max-plus function")
@@ -299,19 +375,18 @@ def legendre_transform(
     if mode not in ("additive", "fenchel"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    x = phi.domain.flat_points()  # (N, d)
-    vals = phi.values.ravel()
+    vals = phi.values
     if mode == "additive":
         contrib = vals
     else:
         contrib = np.where(np.isneginf(vals), -np.inf, -vals)
-    xi = xi_domain.flat_points()  # (M, d)
-    out = np.empty(xi.shape[0])
-    for start in range(0, xi.shape[0], chunk):
-        block = xi[start : start + chunk] @ x.T  # (m, N), finite
-        block += contrib[None, :]
-        out[start : start + chunk] = block.max(axis=1)
-    return GridFunction(xi_domain, out.reshape(xi_domain.shape), maxplus())
+    for axis, (x, xi) in enumerate(zip(phi.domain.axes(), xi_domain.axes())):
+        lines = np.moveaxis(contrib, axis, -1)
+        out = np.empty(lines.shape[:-1] + xi.shape)
+        for idx in np.ndindex(lines.shape[:-1]):
+            out[idx] = _sup_affine(x, lines[idx], xi)
+        contrib = np.moveaxis(out, -1, axis)
+    return GridFunction(xi_domain, contrib, maxplus())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ an operator-splitting potential update ``S ← S + V·Δt``.  The step is a
 *linear* operator over its semiring, which is the superposition principle:
 ``step(λ₁ ⊙ S₁ ⊕ λ₂ ⊙ S₂) = λ₁ ⊙ step(S₁) ⊕ λ₂ ⊙ step(S₂)``.
 
+The kernel is a sum of one (p × p) kernel per axis, so the step contracts
+one axis at a time and never forms the p^{2d} kernel: O(d·p^{d+1}) time and
+O(p^d + p²) memory per step on a d-dimensional grid of p points per axis.
+:func:`quadratic_kernel` builds the dense kernel as a reference.
+
 The smoothed counterpart is the linear parabolic equation
 ``h·∂u/∂t = Σ_i (h²/(2 m_i))·∂²u/∂x_i² + V·u`` marched explicitly with
 reflecting (mirror) boundaries; ``S = h·log u`` carries its solutions back to
@@ -22,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import GridDomain, GridFunction, kernel_apply
+from .analysis import GridDomain, GridFunction
 from .errors import DomainTooSmallError
 from .semiring import Semiring, maxplus
 
@@ -124,28 +129,38 @@ def _check_convention(phi: GridFunction, sys: MechanicalSystem) -> None:
         raise ValueError(f"grid dimension {phi.dim} != system dimension {sys.dim}")
 
 
+def _axis_kernels(domain: GridDomain, sys: MechanicalSystem) -> list[np.ndarray]:
+    """The per-axis kernels ``±m_i (x_i − y_i)²/(2 Δt)`` as (p × p) arrays [x, y].
+
+    + for min-plus and − for max-plus, matching the system's convention.
+    Callers check that the domain has the system's dimension.
+    """
+    kernels = []
+    for m, ax in zip(sys.masses, domain.axes()):
+        diff = ax[:, None] - ax[None, :]
+        kern = m * diff * diff / (2.0 * sys.dt)
+        kernels.append(-kern if sys.convention == "maxplus" else kern)
+    return kernels
+
+
 def quadratic_kernel(domain: GridDomain, sys: MechanicalSystem) -> GridFunction:
     """The one-step transition kernel on the product grid X × X.
 
     ``K(x, y) = ± Σ_i m_i (x_i − y_i)²/(2 Δt)`` with + for min-plus and − for
-    max-plus, matching the system's convention.
+    max-plus, matching the system's convention.  This is the dense
+    (p^{2d}-entry) form of the kernel that :func:`lax_oleinik_step` applies
+    one axis at a time; it is kept as a reference for that step.
     """
     d = domain.dim
     if d != sys.dim:
         raise ValueError("kernel domain does not match the system dimension")
-    p = domain.points_per_axis
-    total = np.zeros((p,) * (2 * d))
-    for i, ax in enumerate(domain.axes()):
-        shape_x = [1] * (2 * d)
-        shape_x[i] = p
-        shape_y = [1] * (2 * d)
-        shape_y[d + i] = p
-        diff = ax.reshape(shape_x) - ax.reshape(shape_y)
-        total = total + sys.masses[i] * diff * diff / (2.0 * sys.dt)
-    spec = Semiring(sys.convention)
-    if sys.convention == "maxplus":
-        total = -total
-    return GridFunction(GridDomain.product(domain, domain), total, spec)
+    terms = []
+    for i, kern in enumerate(_axis_kernels(domain, sys)):
+        shape = [1] * (2 * d)
+        shape[i] = shape[d + i] = domain.points_per_axis
+        terms.append(kern.reshape(shape))
+    total = sum(terms[1:], terms[0])
+    return GridFunction(GridDomain.product(domain, domain), total, Semiring(sys.convention))
 
 
 def _support_radius(phi: GridFunction, sys: MechanicalSystem) -> float:
@@ -160,15 +175,24 @@ def _support_radius(phi: GridFunction, sys: MechanicalSystem) -> float:
     return math.sqrt(2.0 * sys.dt * osc / min(sys.masses))
 
 
-def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
-    """One semigroup step: quadratic-kernel propagation, then ``+ V·Δt``.
+# Bounds the block ``a[..., rows, :] + K_i[rows]`` an axis contraction forms
+# at once (16 MiB of doubles), so a step never holds a p^{d+1} array.
+_BLOCK_ELEMENTS = 2**21
 
-    Raises
-    ------
-    DomainTooSmallError
-        If the kernel's effective support exceeds the grid extent, i.e. the
-        result would be dominated by boundary truncation everywhere.
-    """
+
+def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, reduce) -> np.ndarray:
+    """``out[..., x, ...] = ⊕_y kern[x, y] ⊙ a[..., y, ...]`` along one axis."""
+    a = np.ascontiguousarray(np.moveaxis(a, axis, -1))
+    out = np.empty(a.shape[:-1] + (kern.shape[0],))
+    rows = max(1, _BLOCK_ELEMENTS // a.size)
+    for start in range(0, kern.shape[0], rows):
+        stop = start + rows
+        reduce(a[..., None, :] + kern[start:stop], axis=-1, out=out[..., start:stop])
+    return np.moveaxis(out, -1, axis)
+
+
+def _step(state: ActionState, sys: MechanicalSystem, kernels: list[np.ndarray]) -> ActionState:
+    """:func:`lax_oleinik_step` with the per-axis kernels already built."""
     phi = state.S
     _check_convention(phi, sys)
     dom = phi.domain
@@ -179,19 +203,52 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
             f"one-step support radius {radius:.3g} exceeds the grid extent "
             f"{extent:.3g}; enlarge the box or shrink dt"
         )
-    kern = quadratic_kernel(dom, sys)
-    stepped = kernel_apply(kern, phi)
+    reduce = np.max if sys.convention == "maxplus" else np.min
+    values = phi.values
+    for axis, kern in enumerate(kernels):
+        values = _contract_axis(values, kern, axis, reduce)
     if sys.potential is not None:
         v = np.asarray(sys.potential(*dom.grids()), dtype=float)
-        stepped = stepped.with_values(stepped.values + v * sys.dt)
-    return ActionState(stepped, state.t + sys.dt)
+        values = values + v * sys.dt
+    return ActionState(phi.with_values(values), state.t + sys.dt)
+
+
+def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
+    """One semigroup step: quadratic-kernel propagation, then ``+ V·Δt``.
+
+    The quadratic kernel is a sum over axes, ``K = Σ_i K_i(x_i, y_i)`` with
+    ``K_i = ±m_i (x_i − y_i)²/(2 Δt)``, and ⊙ (+) distributes over ⊕ (max
+    or min), so
+
+        ⊕_y K(x, y) ⊙ S(y) = ⊕_{y_1} K_1 ⊙ ( … ⊕_{y_d} K_d ⊙ S(y) … ).
+
+    The step therefore contracts one axis at a time against the (p × p)
+    kernel ``K_i``: O(d·p^{d+1}) time and O(p^d + p²) memory, against
+    O(p^{2d}) for both with the dense kernel of :func:`quadratic_kernel`.
+    The nesting is exact; only the order of the float additions differs from
+    the dense sum, by a few ulps in d ≥ 2.  In 1-D it is the same arithmetic
+    as the dense operator, so the result agrees with
+    ``kernel_apply(quadratic_kernel(...), S)`` bit for bit.  Bottom values
+    stay bottom, because every kernel entry is finite.
+
+    Raises
+    ------
+    DomainTooSmallError
+        If the kernel's effective support exceeds the grid extent, i.e. the
+        result would be dominated by boundary truncation everywhere.
+    """
+    return _step(state, sys, _axis_kernels(state.S.domain, sys))
 
 
 def lax_oleinik_evolve(initial: GridFunction, sys: MechanicalSystem) -> ActionState:
-    """Apply :func:`lax_oleinik_step` ``horizon/dt`` times starting at t = 0."""
+    """Apply :func:`lax_oleinik_step` ``horizon/dt`` times starting at t = 0.
+
+    The per-axis kernels are built once for the whole evolution.
+    """
+    kernels = _axis_kernels(initial.domain, sys)
     state = ActionState(initial, 0.0)
     for _ in range(sys.steps):
-        state = lax_oleinik_step(state, sys)
+        state = _step(state, sys, kernels)
     return state
 
 

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropkit import (
     GridDomain,
@@ -288,7 +291,7 @@ def test_fenchel_matches_brute_force_bitwise():
     vals[7] = -math.inf  # a hole must simply drop out of the sup
     phi = GridFunction(x_dom, vals, MP)
     xi_dom = GridDomain(-2.0, 2.0, 41)
-    out = legendre_transform(phi, xi_dom, mode="fenchel", chunk=8)
+    out = legendre_transform(phi, xi_dom, mode="fenchel")
     assert np.array_equal(out.values, brute_conjugate(phi, xi_dom.axes()[0]))
 
 
@@ -326,6 +329,105 @@ def test_transform_convolution_duality():
     lhs = legendre_transform(sup_convolution(phi, psi), xi_dom)
     rhs = legendre_transform(phi, xi_dom).values + legendre_transform(psi, xi_dom).values
     assert np.max(np.abs(lhs.values - rhs)) <= 1e-12
+
+
+def dense_legendre(phi, xi_domain, mode):
+    """The transform as one M×N scan ``max_j (⟨ξ, x_j⟩ + c_j)`` (reference)."""
+    x = phi.domain.flat_points()
+    vals = phi.values.ravel()
+    contrib = vals if mode == "additive" else np.where(np.isneginf(vals), -np.inf, -vals)
+    xi = xi_domain.flat_points()
+    return (xi @ x.T + contrib[None, :]).max(axis=1).reshape(xi_domain.shape)
+
+
+@st.composite
+def legendre_problems_1d(draw):
+    """Nonconvex, piecewise-linear, collinear or all-bottom φ, with holes,
+    against ξ-grids that may reach far beyond the hull's slopes."""
+    n = draw(st.integers(2, 40))
+    lo = draw(st.floats(-3.0, 1.0))
+    x_dom = GridDomain(lo, lo + draw(st.floats(0.1, 4.0)), n)
+    x = x_dom.axes()[0]
+    shape = draw(st.sampled_from(["values", "collinear", "piecewise", "bottom"]))
+    if shape == "values":
+        vals = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    elif shape == "collinear":
+        vals = draw(st.floats(-3.0, 3.0)) * x + draw(st.floats(-2.0, 2.0))
+    elif shape == "piecewise":
+        knots = np.sort(draw(st.lists(st.floats(-3.0, 5.0), min_size=1, max_size=4)))
+        heights = draw(st.lists(st.floats(-3.0, 3.0), min_size=knots.size, max_size=knots.size))
+        vals = np.interp(x, knots, heights)
+    else:
+        vals = np.full(n, -math.inf)
+    holes = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    vals = np.where(holes == 0, -math.inf, vals)
+    xi_lo = draw(st.floats(-50.0, 50.0))
+    xi_dom = GridDomain(xi_lo, xi_lo + draw(st.floats(0.1, 100.0)), draw(st.integers(2, 40)))
+    return GridFunction(x_dom, vals, MP), xi_dom
+
+
+@pytest.mark.parametrize("mode", ["additive", "fenchel"])
+@settings(max_examples=300, deadline=None)
+@given(problem=legendre_problems_1d())
+def test_hull_transform_matches_dense_scan_bitwise_in_1d(mode, problem):
+    phi, xi_dom = problem
+    out = legendre_transform(phi, xi_dom, mode=mode).values
+    assert out.tobytes() == dense_legendre(phi, xi_dom, mode).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["additive", "fenchel"])
+def test_hull_transform_on_slope_ties(mode):
+    """ξ equal to the slope of a collinear run: every point of the run is a
+    near-tie, and rounding decides which one the scan keeps.  With slope and
+    offset 0 the ties are exact zeros, and the scan's dot product gives +0.0."""
+    for n in range(3, 40):
+        for slope, offset in ((1.0, 0.5), (3.0, 0.5), (-3.0, 0.5), (0.3, 0.5), (0.0, 0.0)):
+            for lo, hi in ((-1.3, 1.7), (-1.0, 1.0), (0.1, 2.9)):
+                x_dom = GridDomain(lo, hi, n)
+                phi = GridFunction(x_dom, slope * x_dom.axes()[0] + offset, MP)
+                tie = slope if mode == "fenchel" else -slope
+                xi_dom = GridDomain(tie, tie + 1.0, 5)
+                out = legendre_transform(phi, xi_dom, mode=mode).values
+                assert out.tobytes() == dense_legendre(phi, xi_dom, mode).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["additive", "fenchel"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hull_transform_matches_dense_scan_in_2d(mode, data):
+    n = data.draw(st.integers(2, 12))
+    x_dom = GridDomain((-1.0, -2.0), (1.5, 1.0), n)
+    vals = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n)))
+    holes = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n * n, max_size=n * n)))
+    phi = GridFunction(x_dom, np.where(holes == 0, -math.inf, vals), MP)
+    xi_dom = GridDomain((-3.0, -1.0), (2.0, 3.0), data.draw(st.integers(2, 12)))
+    out = legendre_transform(phi, xi_dom, mode=mode).values
+    ref = dense_legendre(phi, xi_dom, mode)
+    bottom = np.isneginf(ref)
+    assert np.array_equal(np.isneginf(out), bottom)
+    # the axis-by-axis sups add ξ_1 x_1, ξ_2 x_2 and c in another order:
+    # 8 ulps of the largest Σ|ξ_i x_i| + |c|
+    size = 1.0 + 3.0 * 1.5 + 3.0 * 2.0 + np.abs(vals).max()
+    assert np.all(np.abs(out[~bottom] - ref[~bottom]) <= 8 * 2.0**-52 * size)
+
+
+def test_transform_at_twenty_thousand_points_stays_small():
+    """The M×N scan would need blocks of tens of MiB; the hull needs O(N + M)."""
+    n = 20_001
+    x_dom = GridDomain(-2.0, 2.0, n)
+    c, b = 0.3, -0.4
+    phi = GridFunction.sample(lambda x: (x - c) ** 2 / 2.0 + b, x_dom, MP)
+    tracemalloc.start()
+    try:
+        out = legendre_transform(phi, x_dom, mode="fenchel")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    xi = x_dom.axes()[0]
+    inside = np.abs(xi + c) <= 2.0
+    exact = xi * c + xi**2 / 2.0 - b
+    assert np.max(np.abs(out.values - exact)[inside]) <= (2.0 + c) * x_dom.spacing[0]
 
 
 def test_transform_rejects_minplus_and_bad_mode():

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropkit import (
     ActionState,
@@ -11,6 +14,7 @@ from tropkit import (
     MechanicalSystem,
     builtin_potential,
     dequantize_solution,
+    kernel_apply,
     lax_oleinik_evolve,
     lax_oleinik_step,
     maxplus,
@@ -171,6 +175,105 @@ def test_convention_mismatch_raises():
         lax_oleinik_evolve(
             GridFunction.constant(0.0, GridDomain((-1.0, -1.0), (1.0, 1.0), 5), MN), sys
         )
+
+
+# ---------------------------------------------------------------------------
+# the per-axis step against the dense kernel
+# ---------------------------------------------------------------------------
+
+def dense_step(state, sys):
+    """One step as ``kernel_apply(quadratic_kernel(...))``, the p^{2d} operator.
+
+    The support-radius check is the one :func:`lax_oleinik_step` makes.
+    Returns the stepped values, or None where the step must refuse.
+    """
+    phi = state.S
+    dom = phi.domain
+    extent = min(hi - lo for lo, hi in zip(dom.lower, dom.upper))
+    finite = phi.values[np.isfinite(phi.values)]
+    osc = float(finite.max() - finite.min()) if finite.size else 0.0
+    if math.sqrt(2.0 * sys.dt * osc / min(sys.masses)) > extent:
+        return None
+    out = kernel_apply(quadratic_kernel(dom, sys), phi).values
+    if sys.potential is not None:
+        out = out + np.asarray(sys.potential(*dom.grids()), dtype=float) * sys.dt
+    return out
+
+
+def separable_step(state, sys):
+    try:
+        return lax_oleinik_step(state, sys).S.values
+    except DomainTooSmallError:
+        return None
+
+
+@st.composite
+def action_problems(draw, dim, max_p):
+    """A state with bottoms, unequal masses and maybe a potential, in either convention."""
+    spec = draw(st.sampled_from([MN, MP]))
+    p = draw(st.integers(2, max_p))
+    lower = [draw(st.floats(-3.0, 0.0)) for _ in range(dim)]
+    upper = [lo + draw(st.floats(0.5, 4.0)) for lo in lower]
+    dom = GridDomain(lower, upper, p)
+    scale = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    vals = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=p**dim, max_size=p**dim)))
+    holes = np.array(draw(st.lists(st.integers(0, 5), min_size=p**dim, max_size=p**dim)))
+    vals = np.where(holes == 0, spec.zero, scale * vals).reshape(dom.shape)
+    masses = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    dt = draw(st.floats(0.05, 2.0))
+    potential = builtin_potential(draw(st.sampled_from(["zero", "quadratic 0.7", "double-well"])))
+    sys = MechanicalSystem(masses, dt, dt, potential=potential, convention=spec.variant)
+    return ActionState(GridFunction(dom, vals, spec), 0.0), sys
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=action_problems(dim=1, max_p=40))
+def test_step_matches_dense_kernel_bitwise_in_1d(problem):
+    state, sys = problem
+    ref = dense_step(state, sys)
+    out = separable_step(state, sys)
+    assert (out is None) == (ref is None)  # DomainTooSmallError on the same inputs
+    if ref is not None:
+        assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim, max_p", [(2, 9), (3, 5)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_step_matches_dense_kernel_in_2d_and_3d(dim, max_p, data):
+    state, sys = data.draw(action_problems(dim=dim, max_p=max_p))
+    ref = dense_step(state, sys)
+    out = separable_step(state, sys)
+    assert (out is None) == (ref is None)
+    if ref is None:
+        return
+    bottom = np.isinf(ref)
+    assert np.array_equal(np.isinf(out), bottom)
+    assert np.array_equal(out[bottom], ref[bottom])
+    # the nesting only reorders the float sums: 8·d ulps of the largest |S|
+    s_in = state.S.values
+    size = max(1.0, np.abs(s_in[np.isfinite(s_in)]).max(initial=0.0), np.abs(ref[~bottom]).max(initial=0.0))
+    assert np.all(np.abs(out[~bottom] - ref[~bottom]) <= 8 * dim * 2.0**-52 * size)
+
+
+def test_evolve_2d_at_p161_stays_small():
+    """The dense p⁴ kernel would need about 5 GB here; the step needs p³ at most."""
+    p = 161
+    dom = GridDomain((-2.0, -2.0), (2.0, 2.0), p)
+    c = (0.3, -0.2)
+    s0 = GridFunction.sample(lambda x, y: ((x - c[0]) ** 2 + (y - c[1]) ** 2) / 2.0, dom, MN)
+    sys = MechanicalSystem((1.0, 1.0), 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        out = lax_oleinik_evolve(s0, sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    xg, yg = dom.grids()
+    exact = ((xg - c[0]) ** 2 + (yg - c[1]) ** 2) / 4.0
+    lipschitz = math.hypot(2.0 + abs(c[0]), 2.0 + abs(c[1]))
+    assert np.max(np.abs(out.S.values - exact)) <= lipschitz * dom.spacing[0]
 
 
 # ---------------------------------------------------------------------------
