@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
+from .linalg import _BLOCK_ELEMENTS
 from .semiring import Semiring, maxplus, minplus
 
 __all__ = [
@@ -295,12 +296,18 @@ def _sup_affine(x: np.ndarray, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
     upper hull where the edge slopes cross −ξ.  In floats, the rounding of
     ``ξ·x_j`` and of the slopes can let another point win by an ulp where it
     lies within rounding error of the supporting line: a near-tie, such as
-    ξ equal to the slope of a collinear run.  So the candidates for ξ are
-    the points within ``tol`` below the hull, from the vertex before to the
-    vertex after the run of vertices whose edge slopes lie within ``tol/σ``
-    of −ξ (σ the least gap between the x_j).  ``tol`` is 8 ulps of the
-    largest ``|ξ·x| + |c|``, above the rounding of either.  Away from slope
-    ties the candidates are the optimal vertex and its two neighbours.
+    ξ equal to the slope of a collinear run.  ``tol`` is 8 ulps of the
+    largest ``|ξ·x| + |c|``, above the rounding of either, and σ the least
+    gap between the x_j.  A point inside an edge whose slope is more than
+    ``tol/σ`` away from −ξ lies at least σ from that edge's vertices, so it
+    falls more than ``tol`` below one of them.  The candidates for ξ are
+    therefore the vertex before and the vertex after the run of edges whose
+    slopes lie within ``tol/σ`` of −ξ, and the points within ``tol`` below
+    the hull on that run; away from slope ties the run is empty and the
+    candidates are the optimal vertex and its two neighbours.  They are
+    evaluated in blocks of at most ``_BLOCK_ELEMENTS``, which bounds the
+    memory where many ξ tie along one long run (a constant φ of magnitude
+    10¹⁵, say, whose rounding exceeds every ξ·x_j).
     """
     finite = np.flatnonzero(c != -np.inf)
     if finite.size == 0:
@@ -313,14 +320,32 @@ def _sup_affine(x: np.ndarray, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
     band = tol / np.diff(x).min() if x.size > 1 else 0.0
     lo = np.searchsorted(-slopes, xi - band, side="left")
     hi = np.searchsorted(-slopes, xi + band, side="right")
-    start = at[np.maximum(lo - 1, 0)]
-    count = at[np.minimum(hi + 1, verts.size - 1)] + 1 - start
-    offsets = np.cumsum(count) - count
-    pick = near[np.arange(count.sum()) - np.repeat(offsets - start, count)]
-    # ⟨ξ, x⟩ as a sum from +0.0, like a dot product: ξ·x = -0.0 becomes +0.0
-    dot = np.repeat(xi, count) * x[pick] + 0.0
-    values = dot + c[pick]
-    return np.maximum.reduceat(values, offsets)
+    # per ξ: vertex lo - 1, the near points from vertex lo to vertex hi, vertex hi + 1
+    before = verts[np.maximum(lo - 1, 0)]
+    after = verts[np.minimum(hi + 1, verts.size - 1)]
+    first = at[lo] - 1
+    count = at[hi] - at[lo] + 3
+    ends = np.cumsum(count)
+    out = np.empty(xi.shape)
+    a = 0
+    while a < xi.size:
+        limit = ends[a] - count[a] + _BLOCK_ELEMENTS
+        b = max(a + 1, int(np.searchsorted(ends, limit, side="right")))
+        n = count[a:b]
+        offsets = np.cumsum(n) - n
+        pick = np.repeat(first[a:b] - offsets, n)
+        pick += np.arange(pick.size)
+        pick = near.take(pick, mode="clip")
+        pick[offsets] = before[a:b]
+        pick[offsets + n - 1] = after[a:b]
+        # ⟨ξ, x⟩ as a sum from +0.0, like a dot product: ξ·x = -0.0 becomes +0.0
+        values = np.repeat(xi[a:b], n)
+        values *= x[pick]
+        values += 0.0
+        values += c[pick]
+        out[a:b] = np.maximum.reduceat(values, offsets)
+        a = b
+    return out
 
 
 def legendre_transform(
@@ -356,10 +381,12 @@ def legendre_transform(
     hull's decreasing edge slopes cross −ξ.  The transform builds that hull
     once (a monotone chain, O(N)) and finds each ξ's vertex by binary search
     on the slopes (O(M log N)).  It evaluates the expression of the full
-    M×N scan, ``ξ·x_j + c_j``, at that vertex and its two neighbours, and at
-    any further point within rounding error of the supporting line, and
-    keeps the largest; so it gives the scan's result without forming the
-    M×N block.  Memory is O(N + M).
+    M×N scan, ``ξ·x_j + c_j``, at that vertex and its two neighbours, and,
+    where ξ is within rounding of an edge's slope, at the points within
+    rounding error of that edge; it keeps the largest, so it gives the
+    scan's result without forming the M×N block.  Away from such ties the
+    work is O(N + M log N) and the memory O(N + M); the near-tie candidates
+    are evaluated in blocks of bounded size.
 
     Because ``⟨ξ, x⟩ = Σ_i ξ_i x_i``, the sup over a product grid nests, one
     axis at a time: ``sup_{x_d} ξ_d x_d + … + sup_{x_1} (ξ_1 x_1 + c(x))``.

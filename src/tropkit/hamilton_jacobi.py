@@ -29,6 +29,7 @@ import numpy as np
 
 from .analysis import GridDomain, GridFunction
 from .errors import DomainTooSmallError
+from .linalg import _BLOCK_ELEMENTS
 from .semiring import Semiring, maxplus
 
 __all__ = [
@@ -175,11 +176,6 @@ def _support_radius(phi: GridFunction, sys: MechanicalSystem) -> float:
     return math.sqrt(2.0 * sys.dt * osc / min(sys.masses))
 
 
-# Bounds the block ``a[..., rows, :] + K_i[rows]`` an axis contraction forms
-# at once (16 MiB of doubles), so a step never holds a p^{d+1} array.
-_BLOCK_ELEMENTS = 2**21
-
-
 def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, reduce) -> np.ndarray:
     """``out[..., x, ...] = ⊕_y kern[x, y] ⊙ a[..., y, ...]`` along one axis."""
     a = np.ascontiguousarray(np.moveaxis(a, axis, -1))
@@ -189,28 +185,6 @@ def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, reduce) -> np.nda
         stop = start + rows
         reduce(a[..., None, :] + kern[start:stop], axis=-1, out=out[..., start:stop])
     return np.moveaxis(out, -1, axis)
-
-
-def _step(state: ActionState, sys: MechanicalSystem, kernels: list[np.ndarray]) -> ActionState:
-    """:func:`lax_oleinik_step` with the per-axis kernels already built."""
-    phi = state.S
-    _check_convention(phi, sys)
-    dom = phi.domain
-    extent = min(hi - lo for lo, hi in zip(dom.lower, dom.upper))
-    radius = _support_radius(phi, sys)
-    if radius > extent:
-        raise DomainTooSmallError(
-            f"one-step support radius {radius:.3g} exceeds the grid extent "
-            f"{extent:.3g}; enlarge the box or shrink dt"
-        )
-    reduce = np.max if sys.convention == "maxplus" else np.min
-    values = phi.values
-    for axis, kern in enumerate(kernels):
-        values = _contract_axis(values, kern, axis, reduce)
-    if sys.potential is not None:
-        v = np.asarray(sys.potential(*dom.grids()), dtype=float)
-        values = values + v * sys.dt
-    return ActionState(phi.with_values(values), state.t + sys.dt)
 
 
 def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
@@ -237,18 +211,31 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
         If the kernel's effective support exceeds the grid extent, i.e. the
         result would be dominated by boundary truncation everywhere.
     """
-    return _step(state, sys, _axis_kernels(state.S.domain, sys))
+    phi = state.S
+    _check_convention(phi, sys)
+    dom = phi.domain
+    extent = min(hi - lo for lo, hi in zip(dom.lower, dom.upper))
+    radius = _support_radius(phi, sys)
+    if radius > extent:
+        raise DomainTooSmallError(
+            f"one-step support radius {radius:.3g} exceeds the grid extent "
+            f"{extent:.3g}; enlarge the box or shrink dt"
+        )
+    reduce = np.max if sys.convention == "maxplus" else np.min
+    values = phi.values
+    for axis, kern in enumerate(_axis_kernels(dom, sys)):
+        values = _contract_axis(values, kern, axis, reduce)
+    if sys.potential is not None:
+        v = np.asarray(sys.potential(*dom.grids()), dtype=float)
+        values = values + v * sys.dt
+    return ActionState(phi.with_values(values), state.t + sys.dt)
 
 
 def lax_oleinik_evolve(initial: GridFunction, sys: MechanicalSystem) -> ActionState:
-    """Apply :func:`lax_oleinik_step` ``horizon/dt`` times starting at t = 0.
-
-    The per-axis kernels are built once for the whole evolution.
-    """
-    kernels = _axis_kernels(initial.domain, sys)
+    """Apply :func:`lax_oleinik_step` ``horizon/dt`` times starting at t = 0."""
     state = ActionState(initial, 0.0)
     for _ in range(sys.steps):
-        state = _step(state, sys, kernels)
+        state = lax_oleinik_step(state, sys)
     return state
 
 

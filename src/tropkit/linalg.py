@@ -36,7 +36,9 @@ __all__ = [
 ]
 
 
-# Largest stacked ``a ⊙ b`` block a matrix product evaluates at once (16 MiB).
+# Largest temporary block, in elements (16 MiB of doubles), that a matrix
+# product, a Lax–Oleinik axis contraction or the Legendre transform's
+# candidate evaluation forms at once.
 _BLOCK_ELEMENTS = 2**21
 
 

@@ -24,6 +24,7 @@ from tropkit import (
     sup_convolution,
     write_grid_csv,
 )
+from tropkit import analysis
 
 RNG = np.random.default_rng(77)
 MP = maxplus()
@@ -411,12 +412,22 @@ def test_hull_transform_matches_dense_scan_in_2d(mode, data):
     assert np.all(np.abs(out[~bottom] - ref[~bottom]) <= 8 * 2.0**-52 * size)
 
 
-def test_transform_at_twenty_thousand_points_stays_small():
-    """The M×N scan would need blocks of tens of MiB; the hull needs O(N + M)."""
+@pytest.mark.parametrize(
+    "phi_of, conjugate",
+    [
+        (lambda x: (x - 0.3) ** 2 / 2.0 - 0.4, lambda xi: xi * 0.3 + xi**2 / 2.0 + 0.4),
+        (lambda x: 0.0 * x, lambda xi: 2.0 * np.abs(xi)),
+        (lambda x: 2.0 * x, lambda xi: 2.0 * np.abs(xi - 2.0)),
+    ],
+    ids=["quadratic", "constant", "linear"],
+)
+def test_transform_at_twenty_thousand_points_stays_small(phi_of, conjugate):
+    """The M×N scan would need blocks of tens of MiB; the hull needs O(N + M).
+    A constant φ, or 2x (exact in floats), is one collinear run of 20,001
+    points, which must not make every point a candidate for every ξ."""
     n = 20_001
     x_dom = GridDomain(-2.0, 2.0, n)
-    c, b = 0.3, -0.4
-    phi = GridFunction.sample(lambda x: (x - c) ** 2 / 2.0 + b, x_dom, MP)
+    phi = GridFunction(x_dom, phi_of(x_dom.axes()[0]), MP)
     tracemalloc.start()
     try:
         out = legendre_transform(phi, x_dom, mode="fenchel")
@@ -425,9 +436,33 @@ def test_transform_at_twenty_thousand_points_stays_small():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     xi = x_dom.axes()[0]
-    inside = np.abs(xi + c) <= 2.0
-    exact = xi * c + xi**2 / 2.0 - b
-    assert np.max(np.abs(out.values - exact)[inside]) <= (2.0 + c) * x_dom.spacing[0]
+    # where the quadratic's maximiser ξ + 0.3 lies in the box
+    inside = np.abs(xi + 0.3) <= 2.0
+    assert np.max(np.abs(out.values - conjugate(xi))[inside]) <= (2.0 + 0.3) * x_dom.spacing[0]
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**12])
+def test_transform_where_every_point_ties_stays_in_blocks(block):
+    """φ ≡ 10¹⁵: every ξ·x_j is below the rounding of c_j, so all N points tie
+    for every ξ and the scan's rounding picks the result.  The candidates are
+    then M·N; evaluated in blocks of ``block`` they stay small, and the
+    result is still the scan's, bit for bit."""
+    n = 1001
+    x_dom = GridDomain(-2.0, 2.0, n)
+    xi_dom = GridDomain(-3.0, 3.0, n)
+    phi = GridFunction(x_dom, np.full(n, 1e15) + 3.0 * x_dom.axes()[0], MP)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_BLOCK_ELEMENTS", block)
+        for mode in ("additive", "fenchel"):
+            tracemalloc.start()
+            try:
+                out = legendre_transform(phi, xi_dom, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # all M·N candidates at once would take about 8 MB for each array
+            assert peak < 2 * 2**20
+            assert out.values.tobytes() == dense_legendre(phi, xi_dom, mode).tobytes()
 
 
 def test_transform_rejects_minplus_and_bad_mode():
