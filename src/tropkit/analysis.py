@@ -171,19 +171,15 @@ def _require_same_grid(a: GridFunction, b: GridFunction) -> Semiring:
     return a.spec
 
 
-def _reduce_all(values: np.ndarray, spec: Semiring) -> float:
-    return float(values.max() if spec.variant == "maxplus" else values.min())
-
-
 def idempotent_integral(phi: GridFunction) -> float:
     """⊕-integral over the whole box: sup (max-plus) or inf (min-plus)."""
-    return _reduce_all(phi.values, phi.spec)
+    return float(phi.spec.reduce(phi.values))
 
 
 def measure_integral(phi: GridFunction, psi: GridFunction) -> float:
     """∫^⊕ φ ⊙ dψ = ⊕_x (φ(x) ⊙ ψ(x)) against the density ψ."""
     spec = _require_same_grid(phi, psi)
-    return _reduce_all(spec.mul(phi.values, psi.values), spec)
+    return float(spec.reduce(spec.mul(phi.values, psi.values)))
 
 
 def scalar_product(phi: GridFunction, psi: GridFunction) -> float:
@@ -210,11 +206,7 @@ def kernel_apply(kernel: GridFunction, phi: GridFunction) -> GridFunction:
     if kdom.lower[dx:] != pdom.lower or kdom.upper[dx:] != pdom.upper:
         raise ValueError("kernel's trailing axes do not match the argument grid")
     combined = spec.mul(kernel.values, phi.values)  # broadcasts over leading axes
-    reduced = (
-        combined.max(axis=tuple(range(dx, dx + dy)))
-        if spec.variant == "maxplus"
-        else combined.min(axis=tuple(range(dx, dx + dy)))
-    )
+    reduced = spec.reduce(combined, tuple(range(dx, dx + dy)))
     xdom = GridDomain(kdom.lower[:dx], kdom.upper[:dx], kdom.points_per_axis)
     return GridFunction(xdom, reduced, spec)
 

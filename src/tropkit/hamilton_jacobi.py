@@ -176,14 +176,14 @@ def _support_radius(phi: GridFunction, sys: MechanicalSystem) -> float:
     return math.sqrt(2.0 * sys.dt * osc / min(sys.masses))
 
 
-def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, reduce) -> np.ndarray:
+def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, spec: Semiring) -> np.ndarray:
     """``out[..., x, ...] = ⊕_y kern[x, y] ⊙ a[..., y, ...]`` along one axis."""
     a = np.ascontiguousarray(np.moveaxis(a, axis, -1))
     out = np.empty(a.shape[:-1] + (kern.shape[0],))
     rows = max(1, _BLOCK_ELEMENTS // a.size)
     for start in range(0, kern.shape[0], rows):
         stop = start + rows
-        reduce(a[..., None, :] + kern[start:stop], axis=-1, out=out[..., start:stop])
+        spec.reduce(a[..., None, :] + kern[start:stop], -1, out=out[..., start:stop])
     return np.moveaxis(out, -1, axis)
 
 
@@ -221,10 +221,9 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
             f"one-step support radius {radius:.3g} exceeds the grid extent "
             f"{extent:.3g}; enlarge the box or shrink dt"
         )
-    reduce = np.max if sys.convention == "maxplus" else np.min
     values = phi.values
     for axis, kern in enumerate(_axis_kernels(dom, sys)):
-        values = _contract_axis(values, kern, axis, reduce)
+        values = _contract_axis(values, kern, axis, phi.spec)
     if sys.potential is not None:
         v = np.asarray(sys.potential(*dom.grids()), dtype=float)
         values = values + v * sys.dt

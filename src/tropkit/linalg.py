@@ -15,9 +15,17 @@ The stationary Bellman equation ``X = H ⊙ X ⊕ F`` has the least solution
 row's stored entries) scheme are provided.  Iterations over an idempotent
 semiring are monotone in the standard order, so stabilization is detected by
 exact equality of consecutive iterates; iterates that still change after the
-budget plus one verification pass raise :class:`DivergenceError`.
+budget plus one verification pass raise :class:`DivergenceError`.  Every
+⊕ over many terms (a product entry, a Gauss-Seidel row) is
+:meth:`Semiring.reduce`.
+
+Single-source shortest paths are the Jacobi iteration of ``X = Wᵀ ⊙ X ⊕ F``
+on a digraph's min-plus adjacency ``W``, carried out as relaxation over the
+stored edges alone: the same iterates, in O(edges) rather than O(n²) a pass.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -108,28 +116,17 @@ def _require_same_spec(a: SemiringMatrix, b: SemiringMatrix) -> Semiring:
     return a.spec
 
 
-def _reduce(values: np.ndarray, axis, spec: Semiring) -> np.ndarray:
-    """⊕-reduction of an array along the given axis/axes."""
-    if spec.variant == "maxplus":
-        return values.max(axis=axis)
-    if spec.variant == "minplus":
-        return values.min(axis=axis)
-    from scipy.special import logsumexp
-
-    with np.errstate(divide="ignore"):
-        return spec.h * logsumexp(values / spec.h, axis=axis)
-
-
 def _product_entries(a: np.ndarray, b: np.ndarray, spec: Semiring) -> np.ndarray:
     # Same-signed infinities add cleanly, so no guard is needed inside the
     # validated carrier: bottom rows/columns propagate as bottom.  Each output
     # row is reduced on its own, so evaluating the stacked sums a block of
-    # rows at a time gives the same entries in bounded memory.
+    # rows at a time gives the same entries in bounded memory.  The block is
+    # this function's own temporary, so the reduction may work inside it.
     out = np.empty((a.shape[0], b.shape[1]))
     step = max(1, _BLOCK_ELEMENTS // b.size)
     for start in range(0, a.shape[0], step):
         rows = slice(start, start + step)
-        out[rows] = _reduce(a[rows, :, None] + b[None, :, :], 1, spec)
+        spec.reduce(a[rows, :, None] + b[None, :, :], 1, out=out[rows], overwrite=True)
     return out
 
 
@@ -185,21 +182,28 @@ def kleene_star(a: SemiringMatrix) -> SemiringMatrix:
 
 
 def _kleene_series(a: SemiringMatrix) -> SemiringMatrix:
-    max_iter = 2 * a.rows
-    eye = SemiringMatrix.identity(a.rows, a.spec)
-    s = eye
-    for _ in range(max_iter):
-        nxt = mat_add(mat_mul(a, s), eye)
-        if np.array_equal(nxt.entries, s.entries):
-            return s
-        s = nxt
-    nxt = mat_add(mat_mul(a, s), eye)
-    if np.array_equal(nxt.entries, s.entries):
-        return s
-    raise DivergenceError(
+    spec, max_iter = a.spec, 2 * a.rows
+    eye = SemiringMatrix.identity(a.rows, spec).entries
+    s = _fixed_point(
+        lambda s: spec.add(_product_entries(a.entries, s, spec), eye), eye, max_iter,
         f"Kleene series did not stabilize within {max_iter} iterations; "
-        "the matrix has a cycle that keeps improving path weights"
+        "the matrix has a cycle that keeps improving path weights",
     )
+    return SemiringMatrix(s, spec)
+
+
+def _fixed_point(step, x: np.ndarray, max_iter: int, failure: str) -> np.ndarray:
+    """Iterate ``x ← step(x)`` to the first exact repeat and return it.
+
+    After ``max_iter`` steps one more decides between a late fixed point and
+    divergence, which raises :class:`DivergenceError` with ``failure``.
+    """
+    for _ in range(max_iter + 1):
+        nxt = step(x)
+        if np.array_equal(nxt, x):
+            return x
+        x = nxt
+    raise DivergenceError(failure)
 
 
 def solve_bellman(
@@ -255,21 +259,14 @@ def solve_bellman(
         def step(x: np.ndarray) -> np.ndarray:
             x = x.copy()
             for i, cols, w in rows:
-                x[i] = spec.add(_reduce(w[:, None] + x[cols], 0, spec), fe[i])
+                x[i] = spec.add(spec.reduce(w[:, None] + x[cols], 0, overwrite=True), fe[i])
             return x
 
-    x = fe.copy()
-    for _ in range(max_iter):
-        nxt = step(x)
-        if np.array_equal(nxt, x):
-            return SemiringMatrix(x, spec)
-        x = nxt
-    nxt = step(x)
-    if np.array_equal(nxt, x):
-        return SemiringMatrix(x, spec)
-    raise DivergenceError(
-        f"Bellman iteration ({method}) did not stabilize within {max_iter} passes"
+    x = _fixed_point(
+        step, fe.copy(), max_iter,
+        f"Bellman iteration ({method}) did not stabilize within {max_iter} passes",
     )
+    return SemiringMatrix(x, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +288,9 @@ def parse_edge_list(lines, path: str | None = None):
         On a malformed line, with its 1-based line number.
     """
     order: dict[str, int] = {}
-    edges: list[tuple[int, int, float]] = []
+    tails: list[int] = []
+    heads: list[int] = []
+    weights: list[float] = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -308,20 +307,18 @@ def parse_edge_list(lines, path: str | None = None):
             raise InputFormatError(
                 f"weight {wtext!r} is not a number", path=path, line=lineno
             ) from None
-        if not np.isfinite(weight):
+        if not math.isfinite(weight):
             raise InputFormatError(
                 f"edge weight must be finite, got {wtext!r}", path=path, line=lineno
             )
-        for name in (src, dst):
-            if name not in order:
-                order[name] = len(order)
-        edges.append((order[src], order[dst], weight))
+        tails.append(order.setdefault(src, len(order)))
+        heads.append(order.setdefault(dst, len(order)))
+        weights.append(weight)
     if not order:
         raise InputFormatError("edge list contains no edges", path=path)
     nodes = list(order)
     w = np.full((len(nodes), len(nodes)), np.inf)
-    for i, j, weight in edges:
-        w[i, j] = min(w[i, j], weight)
+    np.minimum.at(w, (tails, heads), weights)
     return nodes, SemiringMatrix(w, minplus())
 
 
@@ -334,9 +331,17 @@ def read_edge_list(path):
 def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float]:
     """Single-source shortest-path distances on a min-plus adjacency matrix.
 
-    Solves ``X = H ⊙ X ⊕ F`` with ``H`` the transposed adjacency (so row i
-    collects edges *into* node i) and ``F`` the indicator column of the
-    source.  ``+inf`` marks unreachable nodes.
+    Solves ``X = H ⊙ X ⊕ F`` with ``H = Wᵀ`` (row i collects the edges *into*
+    node i) and ``F`` the indicator of the source, by relaxation over the
+    stored (finite) entries of ``W`` only::
+
+        x ← F ⊕ min over edges j → i of (x[j] + W[j, i])
+
+    An absent edge adds a +inf term to the Jacobi product ``H ⊙ x``, which
+    never wins its min, so these are the Jacobi iterates of
+    :func:`solve_bellman` bit for bit, with its budget of ``2·n`` passes plus
+    one, in O(edges) per pass instead of O(n²).  ``+inf`` marks unreachable
+    nodes.
 
     Raises
     ------
@@ -351,8 +356,20 @@ def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float
         src = nodes.index(source)
     except ValueError:
         raise ValueError(f"unknown source node {source!r}") from None
-    h = SemiringMatrix(w.entries.T, minplus())
-    f = np.full((len(nodes), 1), np.inf)
-    f[src, 0] = 0.0
-    x = solve_bellman(h, SemiringMatrix(f, minplus()))
-    return [float(v) for v in x.entries[:, 0]]
+    n = len(nodes)
+    tails, heads = np.nonzero(w.entries != np.inf)
+    weights = w.entries[tails, heads]
+    f = np.full(n, np.inf)
+    f[src] = 0.0
+
+    def step(x: np.ndarray) -> np.ndarray:
+        nxt = f.copy()
+        np.minimum.at(nxt, heads, x[tails] + weights)
+        return nxt
+
+    x = _fixed_point(
+        step, f, 2 * n,
+        f"shortest-path relaxation did not stabilize within {2 * n} passes; "
+        "the graph has a negative cycle",
+    )
+    return [float(v) for v in x]

@@ -11,6 +11,10 @@ Three concrete semirings share the carrier conventions of IEEE doubles:
   ``h > 0``.  As ``h → 0`` the smoothed sum collapses onto ``max``; the gap is
   bounded by ``h·log 2`` and is attained at ``a == b``.
 
+:meth:`Semiring.reduce` is the one ⊕ over many terms that the matrix,
+Bellman, grid and Lax–Oleinik code contract with: ``max``, ``min``, or
+``h·log Σ exp(v/h)`` evaluated in one shifted ``exp`` pass.
+
 Scalars are plain floats.  The semiring zero ("bottom") is a genuine IEEE
 infinity, so absorption and neutrality mostly fall out of float arithmetic;
 the one explicit guard is that bottom ⊙ x stays bottom even against an
@@ -31,7 +35,6 @@ __all__ = [
     "minplus",
     "subtropical",
     "tropical_add",
-    "tropical_mul",
     "subtropical_add",
     "standard_order_leq",
 ]
@@ -106,6 +109,22 @@ class Semiring:
             out = np.where(guard, bottom, out)
         return _maybe_float(out)
 
+    def reduce(self, values, axis=None, out=None, *, overwrite: bool = False):
+        """⊕ of the entries of ``values`` along ``axis`` (an int, a tuple, or
+        None for all), written to ``out`` if given, as numpy's reductions do.
+
+        Max-plus takes the max and min-plus the min.  ``subtropical(h)``
+        takes ``h·log Σ exp(v/h)``; see :func:`_h_logsumexp`.  With
+        ``overwrite=True`` that branch works inside ``values`` rather than a
+        copy of it, and leaves ``values`` undefined: a caller that owns a
+        large temporary saves one more of its size.
+        """
+        if self.variant == "maxplus":
+            return np.max(values, axis=axis, out=out)
+        if self.variant == "minplus":
+            return np.min(values, axis=axis, out=out)
+        return _h_logsumexp(values, axis, self.h, out, overwrite)
+
     def leq(self, a, b) -> bool:
         """The standard partial order: a ≼ b iff a ⊕ b == b.
 
@@ -158,9 +177,32 @@ def tropical_add(a, b, spec: Semiring):
     return spec.add(a, b)
 
 
-def tropical_mul(a, b, spec: Semiring):
-    """a ⊙ b in the given semiring (elementwise on arrays)."""
-    return spec.mul(a, b)
+def _h_logsumexp(values, axis, h: float, out, overwrite: bool):
+    """``h·log Σ exp(v/h)`` over ``axis``: SciPy 1.17's ``logsumexp`` steps,
+    in place and with one ``exp`` pass.
+
+    With ``t = v/h`` and its maximum ``t_max`` attained ``m`` times, the sum
+    is ``exp(t_max)·m·(1 + s/m)``, where ``s`` sums ``exp(t − t_max)`` over
+    the other terms (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41,
+    2021).  On the carrier this is ``h * scipy.special.logsumexp(v / h,
+    axis)`` bit for bit: the same terms are summed in the same layout.  An
+    all-bottom slice has ``t − t_max = NaN`` everywhere, all of it masked to
+    zero, so it comes out as ``log 1 + log m − inf = −inf``.
+    """
+    t = np.divide(values, h, out=values if overwrite else None)
+    t_max = t.max(axis=axis, keepdims=True)
+    top = t == t_max
+    m = np.count_nonzero(top, axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        t -= t_max
+    np.exp(t, out=t)
+    np.copyto(t, 0.0, where=top)
+    s = t.sum(axis=axis, keepdims=True)
+    np.divide(s, m, out=s, where=s != 0)
+    np.log1p(s, out=s)
+    s += np.log(m)
+    s += t_max
+    return np.multiply(np.squeeze(s, axis=axis), h, out=out)
 
 
 def subtropical_add(u, v, h: float):

@@ -161,6 +161,22 @@ def test_star_memory_is_quadratic():
     assert peak < 16 * n * n * 8
 
 
+def test_subtropical_product_memory_is_one_block():
+    # one 16 MiB block of stacked sums, reduced inside itself with a 2 MiB
+    # mask; a copy of the block would need 34.6 MiB, SciPy's logsumexp 114 MiB
+    n = 150
+    rng = np.random.default_rng(8)
+    a, b = (np.where(rng.random((n, n)) < 0.1, -INF, rng.normal(size=(n, n))) for _ in "ab")
+    am, bm = SemiringMatrix(a, subtropical(0.5)), SemiringMatrix(b, subtropical(0.5))
+    tracemalloc.start()
+    try:
+        mat_mul(am, bm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # the closure, the sweeps and the blocked product against dense references
 # ---------------------------------------------------------------------------
@@ -480,6 +496,53 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 1
     with pytest.raises(InputFormatError):
         parse_edge_list(io.StringIO("A B inf\n"))  # weights must be finite
+
+
+@st.composite
+def edge_lists(draw, weights):
+    """``(n, edges)`` over nodes v0 … v(n−1), the first edge leaving the source
+    v0, parallel edges and self-loops allowed, and optionally a planted cycle
+    v0 → … → v(c−1) → v0 of weight −1."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, weights), max_size=4 * n))
+    edges.insert(0, (0, draw(node), draw(weights)))
+    if draw(st.booleans()):
+        c = draw(st.integers(1, n))
+        edges += [(i, (i + 1) % c, -1.0 if i == 0 else 0.0) for i in range(c)]
+    return n, edges
+
+
+def improves(edges, dist):
+    """True if one more relaxation pass would lower a distance: a negative
+    cycle is reachable."""
+    return any(dist[u] + w < dist[v] for u, v, w in edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.one_of(edge_lists(INT_WEIGHTS), edge_lists(st.floats(0.0, 10.0))))
+def test_shortest_paths_match_bellman_ford(graph):
+    n, edges = graph
+    text = "".join(f"v{u} v{v} {w!r}\n" for u, v, w in edges)
+    nodes, w = parse_edge_list(io.StringIO(text))
+    ref = bellman_ford(n, edges, 0)
+    try:
+        got = shortest_path_distances(nodes, w, "v0")
+    except DivergenceError as exc:
+        assert "stabilize" in str(exc)
+        assert improves(edges, ref)
+        return
+    assert not improves(edges, ref)
+    # nodes missing from the edge list are unreachable in the reference
+    assert dict(zip(nodes, got)) == {f"v{i}": d for i, d in enumerate(ref) if f"v{i}" in nodes}
+
+
+def test_planted_negative_cycle_raises():
+    nodes, w = parse_edge_list(io.StringIO("s a 2\na b 1\nb c -3\nc a 1\nc t 4\n"))
+    with pytest.raises(DivergenceError, match="stabilize"):
+        shortest_path_distances(nodes, w, "s")
+    # unreachable from t, the cycle does no harm
+    assert shortest_path_distances(nodes, w, "t") == [INF, INF, INF, INF, 0.0]
 
 
 def test_unknown_source_raises():

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from tropkit import (
     Semiring,
@@ -200,3 +204,73 @@ def test_deformation_collapses_to_max():
 def test_scalar_inputs_return_python_floats():
     assert isinstance(maxplus().add(1.0, 2.0), float)
     assert isinstance(subtropical_add(1.0, 2.0, 0.5), float)
+
+
+# ---------------------------------------------------------------------------
+# the ⊕-reduction
+# ---------------------------------------------------------------------------
+
+@st.composite
+def carrier_arrays(draw):
+    """2-D max-plus carrier arrays with bottoms, ties and all-bottom rows/columns."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    values = st.one_of(
+        st.sampled_from([-math.inf, 0.0, 1.5, -2.25]),
+        st.floats(-60.0, 60.0, allow_nan=False),
+    )
+    a = draw(arrays(np.float64, shape, elements=values))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, shape[0] - 1)), :] = -math.inf
+    if draw(st.booleans()):
+        a[:, draw(st.integers(0, shape[1] - 1))] = -math.inf
+    return a
+
+
+def bits(x):
+    x = np.asarray(x)
+    return x.shape, x.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=carrier_arrays(),
+    axis=st.sampled_from([0, 1, None]),
+    h=st.sampled_from([0.01, 0.3, 0.5, 1.0, 7.0]),
+)
+def test_subtropical_reduce_is_scipy_logsumexp_bitwise(values, axis, h):
+    with np.errstate(divide="ignore"):
+        expected = h * logsumexp(values / h, axis=axis)
+    before = values.copy()
+    got = subtropical(h).reduce(values, axis)
+    assert bits(got) == bits(expected)
+    assert bits(values) == bits(before)  # the input is left alone by default
+    assert bits(subtropical(h).reduce(values.copy(), axis, overwrite=True)) == bits(expected)
+    if axis is not None:
+        out = np.empty(np.shape(expected))
+        assert subtropical(h).reduce(values, axis, out=out) is out
+        assert bits(out) == bits(expected)
+
+
+def test_subtropical_reduce_edge_slices():
+    sp = subtropical(0.5)
+    a = np.array([[-math.inf, -math.inf], [2.0, 2.0], [1.0, -math.inf]])
+    got = sp.reduce(a, 1)
+    assert got[0] == -math.inf  # an all-bottom slice is bottom
+    assert got[1] == 2.0 + 0.5 * math.log(2.0)  # a tie is the h·log 2 gap
+    assert got[2] == 1.0  # bottom terms drop out
+    assert sp.reduce(np.full(3, -math.inf)) == -math.inf
+
+
+@pytest.mark.parametrize(
+    "spec, ref", [(maxplus(), np.max), (minplus(), np.min)], ids=["maxplus", "minplus"]
+)
+@pytest.mark.parametrize("axis", [0, 1, None, (0, 1)])
+def test_idempotent_reduce_is_max_or_min(spec, ref, axis):
+    a = dyadic(24).reshape(4, 6)
+    a[1, 2] = spec.zero
+    a[:, 4] = spec.zero
+    assert bits(spec.reduce(a, axis)) == bits(ref(a, axis=axis))
+    if axis in (0, 1):
+        out = np.empty(a.shape[1 - axis])
+        assert spec.reduce(a, axis, out=out) is out
+        assert bits(out) == bits(ref(a, axis=axis))
