@@ -1,7 +1,7 @@
 """Idempotent analysis on uniform grids.
 
-Functions on a box are sampled on a uniform tensor grid and carry the
-semiring they live in (max-plus or min-plus).  The classical integral is
+Functions on a box are sampled on a uniform tensor grid and carry their
+semiring: max-plus, min-plus or subtropical(h).  The classical integral is
 replaced by the ⊕-reduction: for max-plus, ``∫^⊕ φ = sup_x φ(x)``; this makes
 an idempotent measure out of ``B ↦ sup_B φ`` and a scalar product out of
 ``⟨φ, ψ⟩ = sup_x (φ(x) + ψ(x))``.  On top of the integral sit the kernel
@@ -105,15 +105,13 @@ class GridFunction:
     """A function sampled on a :class:`GridDomain` with a semiring attached.
 
     Values are a read-only float array of shape ``(p,)*dim``; the carrier of
-    the (idempotent) semiring is enforced, so a max-plus function may take
+    the semiring is enforced, so a max-plus or subtropical function may take
     the value -inf ("undefined there") but never +inf or NaN.
     """
 
     __slots__ = ("domain", "values", "spec")
 
     def __init__(self, domain: GridDomain, values, spec: Semiring):
-        if not spec.is_idempotent:
-            raise ValueError("grid functions require an idempotent semiring")
         arr = np.array(values, dtype=float)
         if arr.shape != domain.shape:
             if arr.size == np.prod(domain.shape):
@@ -213,6 +211,8 @@ def kernel_apply(kernel: GridFunction, phi: GridFunction) -> GridFunction:
 
 def negate_convention(phi: GridFunction) -> GridFunction:
     """Flip the sign of the values and swap max-plus ↔ min-plus."""
+    if not phi.spec.is_idempotent:
+        raise ValueError(f"{phi.spec!r} has no order dual")
     dual = minplus() if phi.spec.variant == "maxplus" else maxplus()
     return GridFunction(phi.domain, -phi.values, dual)
 
@@ -229,6 +229,8 @@ def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
     spec = phi.spec
     if psi.spec != spec:
         raise ValueError("operands live in different semirings")
+    if not spec.is_idempotent:
+        raise ValueError("sup-convolution needs an idempotent semiring")
     if phi.dim != psi.dim:
         raise ValueError("operands differ in dimension")
     if phi.dim not in (1, 2):

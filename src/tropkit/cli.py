@@ -300,10 +300,11 @@ def cmd_hj_viscous(args) -> int:
     _require(args, "scenario", "initial")
     sys_ = _parse_scenario(args.scenario)
     initial = analysis.read_grid_csv(args.initial, semiring.maxplus())
-    u = hamilton_jacobi.viscous_solve(initial, sys_, args.h)
-    if args.dequantize:
-        u = hamilton_jacobi.dequantize_solution(u, args.h)
-    _emit(args, analysis.grid_csv_text(u))
+    if args.dequantize:  # stay in S = h·log u, never forming e^{S/h}
+        out = hamilton_jacobi._viscous_action(initial, sys_, args.h).S
+    else:
+        out = hamilton_jacobi.viscous_solve(initial, sys_, args.h)
+    _emit(args, analysis.grid_csv_text(out))
     return 0
 
 

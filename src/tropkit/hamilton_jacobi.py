@@ -15,9 +15,12 @@ O(p^d + p²) memory per step on a d-dimensional grid of p points per axis.
 :func:`quadratic_kernel` builds the dense kernel as a reference.
 
 The smoothed counterpart is the linear parabolic equation
-``h·∂u/∂t = Σ_i (h²/(2 m_i))·∂²u/∂x_i² + V·u`` marched explicitly with
-reflecting (mirror) boundaries; ``S = h·log u`` carries its solutions back to
-the idempotent picture, with an O(h) gap that closes as h → 0.
+``h·∂u/∂t = Σ_i (h²/(2 m_i))·∂²u/∂x_i² + V·u`` with reflecting walls.  In
+the coordinates ``S = h·log u`` its heat semigroup is the same step over
+``subtropical(h)``, with h·log of the heat kernel as the axis kernel, and it
+hardens into the max-plus step as h → 0 (Maslov dequantization).  From
+``S₀ = −x²`` with m = 1 it gives ``−x²/(1 + 2t) − (h/2)·log(1 + 2t)`` away
+from the walls: the gap to the Lax–Oleinik flow is exactly that.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 from .analysis import GridDomain, GridFunction
 from .errors import DomainTooSmallError
 from .linalg import _BLOCK_ELEMENTS
-from .semiring import Semiring, maxplus
+from .semiring import Semiring, maxplus, subtropical
 
 __all__ = [
     "MechanicalSystem",
@@ -52,7 +55,9 @@ class MechanicalSystem:
 
     ``convention`` selects the semiring of the action: ``"minplus"`` evolves
     a cost-to-go (kernel added), ``"maxplus"`` an action being maximized
-    (kernel subtracted).  The horizon must be an integer number of steps.
+    (kernel subtracted).  A ``subtropical(h)`` action deforms max-plus and
+    takes its sign whatever the convention says.  The horizon must be an
+    integer number of steps.
     """
 
     masses: tuple[float, ...]
@@ -121,7 +126,7 @@ def builtin_potential(text: str) -> Callable | None:
 
 
 def _check_convention(phi: GridFunction, sys: MechanicalSystem) -> None:
-    if phi.spec.variant != sys.convention:
+    if phi.spec.is_idempotent and phi.spec.variant != sys.convention:
         raise ValueError(
             f"function lives in {phi.spec.variant} but the system declares "
             f"{sys.convention}"
@@ -130,18 +135,53 @@ def _check_convention(phi: GridFunction, sys: MechanicalSystem) -> None:
         raise ValueError(f"grid dimension {phi.dim} != system dimension {sys.dim}")
 
 
-def _axis_kernels(domain: GridDomain, sys: MechanicalSystem) -> list[np.ndarray]:
+def _axis_kernels(domain: GridDomain, sys: MechanicalSystem, spec: Semiring) -> list[np.ndarray]:
     """The per-axis kernels ``±m_i (x_i − y_i)²/(2 Δt)`` as (p × p) arrays [x, y].
 
-    + for min-plus and − for max-plus, matching the system's convention.
-    Callers check that the domain has the system's dimension.
+    + for min-plus and − for max-plus; over ``subtropical(h)`` the heat
+    kernel of :func:`_heat_kernel`.  Callers check that the domain has the
+    system's dimension.
     """
     kernels = []
-    for m, ax in zip(sys.masses, domain.axes()):
+    for m, ax, sigma in zip(sys.masses, domain.axes(), domain.spacing):
+        if not spec.is_idempotent:
+            kernels.append(_heat_kernel(ax.size, sigma, m, sys.dt, spec))
+            continue
         diff = ax[:, None] - ax[None, :]
         kern = m * diff * diff / (2.0 * sys.dt)
-        kernels.append(-kern if sys.convention == "maxplus" else kern)
+        kernels.append(-kern if spec.variant == "maxplus" else kern)
     return kernels
+
+
+def _heat_kernel(p: int, sigma: float, m: float, dt: float, spec: Semiring) -> np.ndarray:
+    """h·log of the trapezoid-weighted heat kernel with reflecting walls, [x, y].
+
+        K(x_i, y_j) = ⊕_{y′} −m (x_i − y′)²/(2Δt) + h·log(w_j/σ) − N
+
+    with trapezoid weights w.  On nodes ``x_i = lo + iσ`` the walls reflect
+    y_j to ``y′ = lo ± jσ + 2kL``, ``L = (p − 1)σ``, so ``x_i − y′`` is σ
+    times one of the 3p − 2 offsets ``i ∓ j`` shifted by ``2k(p − 1)``.  Each
+    offset's K images are ⊕-folded once, in O(K·p), and the kernel reads the
+    fold at ``i − j`` and ``i + j``, in O(p²).  Images farther than
+    ``√(L² + 100·hΔt/m)`` add less than e⁻⁵⁰ of the direct term, which fixes
+    K.  Each row meets every residue mod 2(p − 1) once, so N, the fold's ⊕
+    over one period, makes rows sum to one in ``u = e^{K/h}`` at any
+    resolution; the continuum constant ``h·log(σ·√(m/(2πhΔt)))`` matches −N
+    only once ``hΔt/m ≫ σ²``.  Over max and min no image beats the direct
+    term (``|x − y′| ≥ |x − y|``), so those kernels have none.
+    """
+    last = p - 1
+    scale = m * sigma * sigma / (2.0 * dt)  # the term at offset n is −scale·n²
+    reach = math.sqrt(last * last + 50.0 * spec.h / scale)
+    period = 2 * last
+    k = np.arange(math.floor((-last - reach) / period), math.ceil((period + reach) / period) + 1)
+    z = np.arange(-last, period + 1) - period * k[:, None]
+    fold = spec.reduce(-scale * z * z, 0, overwrite=True)
+    i = np.arange(p)[:, None]
+    kern = spec.add(fold[last + i - i.T], fold[last + i + i.T])
+    w = np.ones(p)
+    w[[0, -1]] = 0.5
+    return kern + (spec.h * np.log(w) - spec.reduce(fold[last:last + period]))
 
 
 def quadratic_kernel(domain: GridDomain, sys: MechanicalSystem) -> GridFunction:
@@ -156,16 +196,17 @@ def quadratic_kernel(domain: GridDomain, sys: MechanicalSystem) -> GridFunction:
     if d != sys.dim:
         raise ValueError("kernel domain does not match the system dimension")
     terms = []
-    for i, kern in enumerate(_axis_kernels(domain, sys)):
+    spec = Semiring(sys.convention)
+    for i, kern in enumerate(_axis_kernels(domain, sys, spec)):
         shape = [1] * (2 * d)
         shape[i] = shape[d + i] = domain.points_per_axis
         terms.append(kern.reshape(shape))
     total = sum(terms[1:], terms[0])
-    return GridFunction(GridDomain.product(domain, domain), total, Semiring(sys.convention))
+    return GridFunction(GridDomain.product(domain, domain), total, spec)
 
 
-def _support_radius(phi: GridFunction, sys: MechanicalSystem) -> float:
-    """How far an optimizer can usefully move in one step.
+def _check_support(phi: GridFunction, sys: MechanicalSystem) -> None:
+    """Refuse a step whose optimizers could usefully move past the grid.
 
     A displacement r costs ``min(m)·r²/(2Δt)``; once that exceeds the
     oscillation of S, staying in place is always at least as good, so the
@@ -173,7 +214,13 @@ def _support_radius(phi: GridFunction, sys: MechanicalSystem) -> float:
     """
     finite = phi.values[np.isfinite(phi.values)]
     osc = float(finite.max() - finite.min()) if finite.size else 0.0
-    return math.sqrt(2.0 * sys.dt * osc / min(sys.masses))
+    radius = math.sqrt(2.0 * sys.dt * osc / min(sys.masses))
+    extent = min(hi - lo for lo, hi in zip(phi.domain.lower, phi.domain.upper))
+    if radius > extent:
+        raise DomainTooSmallError(
+            f"one-step support radius {radius:.3g} exceeds the grid extent "
+            f"{extent:.3g}; enlarge the box or shrink dt"
+        )
 
 
 def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, spec: Semiring) -> np.ndarray:
@@ -183,7 +230,7 @@ def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, spec: Semiring) -
     rows = max(1, _BLOCK_ELEMENTS // a.size)
     for start in range(0, kern.shape[0], rows):
         stop = start + rows
-        spec.reduce(a[..., None, :] + kern[start:stop], -1, out=out[..., start:stop])
+        spec.reduce(a[..., None, :] + kern[start:stop], -1, out=out[..., start:stop], overwrite=True)
     return np.moveaxis(out, -1, axis)
 
 
@@ -191,8 +238,8 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
     """One semigroup step: quadratic-kernel propagation, then ``+ V·Δt``.
 
     The quadratic kernel is a sum over axes, ``K = Σ_i K_i(x_i, y_i)`` with
-    ``K_i = ±m_i (x_i − y_i)²/(2 Δt)``, and ⊙ (+) distributes over ⊕ (max
-    or min), so
+    ``K_i = ±m_i (x_i − y_i)²/(2 Δt)``, and ⊙ (+) distributes over ⊕ (max,
+    min, or ``h·log Σ exp(·/h)`` over ``subtropical(h)``), so
 
         ⊕_y K(x, y) ⊙ S(y) = ⊕_{y_1} K_1 ⊙ ( … ⊕_{y_d} K_d ⊙ S(y) … ).
 
@@ -203,27 +250,25 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
     the dense sum, by a few ulps in d ≥ 2.  In 1-D it is the same arithmetic
     as the dense operator, so the result agrees with
     ``kernel_apply(quadratic_kernel(...), S)`` bit for bit.  Bottom values
-    stay bottom, because every kernel entry is finite.
+    stay bottom, because every kernel entry is finite.  Over ``subtropical(h)``
+    the ``K_i`` are heat kernels (:func:`_heat_kernel`): a heat step in ``S``.
 
     Raises
     ------
     DomainTooSmallError
-        If the kernel's effective support exceeds the grid extent, i.e. the
-        result would be dominated by boundary truncation everywhere.
+        Over max and min, if the kernel's effective support exceeds the grid
+        extent, i.e. the result would be dominated by boundary truncation
+        everywhere.  The heat kernel reflects at the walls, truncating nothing.
     """
     phi = state.S
+    spec = phi.spec
     _check_convention(phi, sys)
+    if spec.is_idempotent:
+        _check_support(phi, sys)
     dom = phi.domain
-    extent = min(hi - lo for lo, hi in zip(dom.lower, dom.upper))
-    radius = _support_radius(phi, sys)
-    if radius > extent:
-        raise DomainTooSmallError(
-            f"one-step support radius {radius:.3g} exceeds the grid extent "
-            f"{extent:.3g}; enlarge the box or shrink dt"
-        )
     values = phi.values
-    for axis, kern in enumerate(_axis_kernels(dom, sys)):
-        values = _contract_axis(values, kern, axis, phi.spec)
+    for axis, kern in enumerate(_axis_kernels(dom, sys, spec)):
+        values = _contract_axis(values, kern, axis, spec)
     if sys.potential is not None:
         v = np.asarray(sys.potential(*dom.grids()), dtype=float)
         values = values + v * sys.dt
@@ -238,74 +283,26 @@ def lax_oleinik_evolve(initial: GridFunction, sys: MechanicalSystem) -> ActionSt
     return state
 
 
-def _mirror_second_difference(u: np.ndarray, axis: int) -> np.ndarray:
-    """Second difference along one axis with mirror-about-node boundaries."""
-    pad = [(0, 0)] * u.ndim
-    pad[axis] = (1, 1)
-    padded = np.pad(u, pad, mode="reflect")
-    lead = tuple(
-        slice(2, None) if i == axis else slice(None) for i in range(u.ndim)
-    )
-    trail = tuple(
-        slice(0, -2) if i == axis else slice(None) for i in range(u.ndim)
-    )
-    return padded[lead] - 2.0 * u + padded[trail]
-
-
-_SUBSTEP_CAP = 2_000_000
-
-
 def viscous_solve(u0: GridFunction, sys: MechanicalSystem, h: float) -> GridFunction:
-    """March ``h·∂u/∂t = Σ (h²/2m_i)·∂²u/∂x² + V·u`` to the horizon.
+    """Solve ``h·∂u/∂t = Σ (h²/2m_i)·∂²u/∂x_i² + V·u`` to the horizon.
 
-    Explicit finite differences with reflecting boundaries.  The sub-step
-    satisfies ``Σ_i (h/(2 m_i))·Δt/σ_i² ≤ 1/2`` (plus a comparable bound on
-    the zeroth-order term), so the scheme is stable; if that would take more
-    than two million sub-steps the resolution is declared infeasible.
+    The walls reflect.  This is :func:`lax_oleinik_evolve` over
+    ``subtropical(h)`` from ``S₀ = h·log u₀``, returned as ``e^{S/h}``, with
+    max-plus's sign whatever ``sys.convention`` says.  Each step convolves
+    with the reflected heat kernel under trapezoid weights, which keeps
+    constants and trapezoid mass, then multiplies by ``e^{V·Δt/h}``.
 
     ``u0`` must be strictly positive so that ``h·log u`` stays meaningful.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
-    if u0.dim != sys.dim:
-        raise ValueError(f"grid dimension {u0.dim} != system dimension {sys.dim}")
-    vals = u0.values
-    if not np.all(vals > 0):
-        raise ValueError("initial condition must be strictly positive")
-    if sys.horizon == 0:
-        return u0
+    s = _viscous_action(u0, sys, h).S
+    return u0 if sys.horizon == 0 else u0.with_values(np.exp(s.values / h))
 
-    dom = u0.domain
-    diffusivity = [h / (2.0 * m) for m in sys.masses]
-    sigma = dom.spacing
-    # Σ α_i ≤ 1/2 with α_i = D_i Δt / σ_i²
-    diff_rate = sum(d / s**2 for d, s in zip(diffusivity, sigma))
-    limits = [0.5 / diff_rate]
-    vgrid = None
-    if sys.potential is not None:
-        vgrid = np.asarray(sys.potential(*dom.grids()), dtype=float)
-        vmax = float(np.abs(vgrid).max())
-        if vmax > 0:
-            limits.append(0.5 * h / vmax)
-    dt_sub = min(limits)
-    nsub = max(1, math.ceil(sys.horizon / dt_sub))
-    if nsub > _SUBSTEP_CAP:
-        raise ValueError(
-            f"stability requires {nsub} sub-steps (> {_SUBSTEP_CAP}); "
-            "coarsen the grid or reduce the horizon"
-        )
-    dt = sys.horizon / nsub
 
-    u = vals.copy()
-    alphas = [d * dt / s**2 for d, s in zip(diffusivity, sigma)]
-    for _ in range(nsub):
-        upd = u.copy()
-        for axis, alpha in enumerate(alphas):
-            upd += alpha * _mirror_second_difference(u, axis)
-        if vgrid is not None:
-            upd += (dt / h) * vgrid * u
-        u = upd
-    return GridFunction(dom, u, u0.spec)
+def _viscous_action(u0: GridFunction, sys: MechanicalSystem, h: float) -> ActionState:
+    """Evolve ``S₀ = h·log u₀`` over ``subtropical(h)``: S out, no ``e^{S/h}``."""
+    s0 = GridFunction(u0.domain, dequantize_solution(u0, h).values, subtropical(h))
+    _check_convention(s0, sys)
+    return lax_oleinik_evolve(s0, sys)
 
 
 def dequantize_solution(u: GridFunction, h: float) -> GridFunction:
@@ -361,6 +358,5 @@ def superposition_check(
     lhs = lax_oleinik_step(ActionState(combined, 0.0), sys).S
     r1 = lax_oleinik_step(ActionState(s1, 0.0), sys).S
     r2 = lax_oleinik_step(ActionState(s2, 0.0), sys).S
-    rhs_vals = spec.add(spec.mul(lam1, r1.values), spec.mul(lam2, r2.values))
-    rhs = r1.with_values(rhs_vals)
+    rhs = r1.with_values(spec.add(spec.mul(lam1, r1.values), spec.mul(lam2, r2.values)))
     return SuperpositionReport(_sup_gap(lhs.values, rhs.values, spec.zero), lhs, rhs)

@@ -21,6 +21,7 @@ from tropkit import (
     negate_convention,
     read_grid_csv,
     scalar_product,
+    subtropical,
     sup_convolution,
     write_grid_csv,
 )
@@ -87,9 +88,18 @@ def test_grid_function_carrier():
     with pytest.raises(ValueError):
         GridFunction(dom, [0.0, 1.0], MP)  # wrong length
     with pytest.raises(ValueError):
-        GridFunction(dom, [0.0] * 3, __import__("tropkit").subtropical(0.5))
-    with pytest.raises(ValueError):
         f.values[0] = 5.0  # read-only
+
+
+def test_grid_function_carrier_subtropical():
+    # subtropical(h) deforms max-plus and shares its carrier R ∪ {-inf}
+    dom = GridDomain(0.0, 1.0, 3)
+    g = GridFunction(dom, [0.0, -math.inf, 2.0], subtropical(0.5))
+    assert g.values[1] == -math.inf
+    with pytest.raises(ValueError):
+        GridFunction(dom, [0.0, math.inf, 0.0], subtropical(0.5))
+    with pytest.raises(ValueError):
+        GridFunction(dom, [0.0, math.nan, 0.0], subtropical(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +270,15 @@ def test_convolution_input_checks():
     cube = GridFunction.constant(0.0, GridDomain((0.0,) * 3, (1.0,) * 3, 3), MP)
     with pytest.raises(ValueError):
         sup_convolution(cube, cube)
+
+
+def test_idempotent_only_operations_refuse_subtropical():
+    # neither a max-convolution nor a max/min swap is defined over ⊕_h
+    soft = GridFunction.constant(0.0, GridDomain(0.0, 1.0, 5), subtropical(0.5))
+    with pytest.raises(ValueError, match="idempotent"):
+        sup_convolution(soft, soft)
+    with pytest.raises(ValueError, match="dual"):
+        negate_convention(soft)
 
 
 # ---------------------------------------------------------------------------

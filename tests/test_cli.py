@@ -139,6 +139,21 @@ def test_hj_viscous_dequantized(tmp_path, capsys):
     assert np.max(np.abs(vals[mid] - (-(x[mid] ** 2) / 3.0))) <= 0.1
 
 
+@pytest.mark.parametrize("h", [0.02, 0.01])
+def test_hj_viscous_dequantize_small_h(tmp_path, capsys, h):
+    # S₀ = -x²/2 spreads to -x²/4 - (h/2)·log 2; the wall image lifts the
+    # ends by at most h·log 2, so the whole grid stays within (h/2)·log 2
+    scen = tmp_path / "scen.txt"
+    scen.write_text("masses 1.0\ndt 1.0\nhorizon 1.0\n")
+    dom = GridDomain(-2.0, 2.0, 161)
+    init = tmp_path / "u0.csv"
+    write_grid_csv(GridFunction.sample(lambda x: np.exp(-(x**2) / (2.0 * h)), dom, maxplus()), init)
+    assert main(["hj-viscous", str(scen), str(init), "--h", repr(h), "--dequantize"]) == 0
+    vals = np.array([float(v) for v in capsys.readouterr().out.split()[1:]])
+    x = dom.axes()[0]
+    assert np.max(np.abs(vals + x**2 / 4.0)) <= 0.5 * h * math.log(2.0) + 1e-9
+
+
 def test_scenario_errors(tmp_path, capsys):
     scen = tmp_path / "scen.txt"
     scen.write_text("masses 1.0\ndt 0.5\n")  # horizon missing

@@ -20,6 +20,7 @@ from tropkit import (
     maxplus,
     minplus,
     quadratic_kernel,
+    subtropical,
     superposition_check,
     viscous_solve,
 )
@@ -304,6 +305,16 @@ def test_superposition_defect_tiny_off_lattice():
     assert report.defect <= 1e-12
 
 
+def test_superposition_defect_tiny_subtropical():
+    # the heat step is linear over ⊕_h: the deformed superposition principle
+    dom = GridDomain(-2.0, 2.0, 161)
+    soft = subtropical(0.05)
+    s1 = GridFunction.sample(lambda x: -(x**2), dom, soft)
+    s2 = GridFunction.sample(lambda x: -np.abs(x - 0.3), dom, soft)
+    report = superposition_check(s1, s2, 0.7, -1.3, MechanicalSystem((1.0,), 0.5, 0.5))
+    assert report.defect <= 1e-12
+
+
 def test_superposition_grid_mismatch():
     a = GridFunction.constant(0.0, GridDomain(-1.0, 1.0, 11), MN)
     b = GridFunction.constant(0.0, GridDomain(-1.0, 1.0, 21), MN)
@@ -325,7 +336,7 @@ def test_viscous_constant_equilibrium():
 
 
 def test_viscous_conserves_trapezoid_mass():
-    # mirror-about-node boundaries make the discrete diffusion divergence-free
+    # the kernel's wall images give every column a trapezoid mass of one
     dom = GridDomain(-1.0, 1.0, 101)
     u0 = GridFunction.sample(lambda x: 1.0 + 0.5 * np.cos(3.0 * x), dom, MP)
     sys = MechanicalSystem((1.0,), 0.5, 0.5)
@@ -334,6 +345,19 @@ def test_viscous_conserves_trapezoid_mass():
     m0 = np.trapezoid(u0.values, x)
     m1 = np.trapezoid(u.values, x)
     assert m1 == pytest.approx(m0, rel=1e-12)
+
+
+def test_viscous_under_resolved_kernel_keeps_constants_and_mass():
+    # h·Δt/m = σ²/4: the heat kernel is narrower than the grid spacing, so
+    # its rows must be normalized on the grid, not by the continuum constant
+    dom = GridDomain(-1.0, 1.0, 101)
+    sys = MechanicalSystem((1.0,), 0.01, 1.0)
+    ones = GridFunction.constant(1.0, dom, MP)
+    assert np.max(np.abs(viscous_solve(ones, sys, h=0.01).values - 1.0)) <= 1e-13
+    u0 = GridFunction.sample(lambda x: 1.0 + 0.5 * np.cos(3.0 * x), dom, MP)
+    x = dom.axes()[0]
+    m1 = np.trapezoid(viscous_solve(u0, sys, h=0.01).values, x)
+    assert m1 == pytest.approx(np.trapezoid(u0.values, x), rel=1e-12)
 
 
 def test_viscous_matches_heat_quadrature():
@@ -348,13 +372,36 @@ def test_viscous_matches_heat_quadrature():
     assert np.max(np.abs(u.values - ref)) <= 1e-3
 
 
-@pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+def test_viscous_step_matches_image_sum():
+    # reference: the reflecting-wall heat kernel as an explicit sum over
+    # images y + 2kL and 2·lo − y + 2kL, trapezoid weights, plain exp
+    dom = GridDomain(0.5, 1.5, 41)
+    h, m, dt = 0.5, 2.0, 0.2
+    u0 = GridFunction(dom, RNG.uniform(0.5, 2.0, 41), MP)
+    u = viscous_solve(u0, MechanicalSystem((m,), dt, dt), h)
+    x = dom.axes()[0]
+    length, var = 1.0, h * dt / m
+    kern = np.zeros((41, 41))
+    for k in range(-3, 4):
+        for image in (x + 2 * k * length, 2 * 0.5 - x + 2 * k * length):
+            kern += np.exp(-((x[:, None] - image[None, :]) ** 2) / (2 * var))
+    w = np.full(41, 1.0 / 40)
+    w[[0, -1]] /= 2
+    ref = kern @ (w * u0.values) / math.sqrt(2 * math.pi * var)
+    assert np.max(np.abs(u.values / ref - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002])
 def test_viscous_dequantizes_toward_hopf_lax(h):
     """h·log u(t) → -x²/(1+2t) with the documented O(h) defect."""
     dom = GridDomain(-2.0, 2.0, 161)
-    u0 = GridFunction.sample(lambda x: np.exp(-(x**2) / h), dom, MP)
     sys = MechanicalSystem((1.0,), 1.0, 1.0)
-    s = dequantize_solution(viscous_solve(u0, sys, h), h)
+    if h > 0.005:
+        u0 = GridFunction.sample(lambda x: np.exp(-(x**2) / h), dom, MP)
+        s = dequantize_solution(viscous_solve(u0, sys, h), h)
+    else:  # e^{-x²/h} underflows at |x| = 2: stay in S = h·log u
+        s0 = GridFunction.sample(lambda x: -(x**2), dom, subtropical(h))
+        s = lax_oleinik_evolve(s0, sys).S
     x = dom.axes()[0]
     mid = np.abs(x) <= 1.0
     err = np.max(np.abs(s.values[mid] - (-(x[mid] ** 2) / 3.0)))
@@ -386,15 +433,31 @@ def test_viscous_input_checks():
         viscous_solve(ones, sys, h=0.0)
     with pytest.raises(ValueError):
         dequantize_solution(flat, 0.1)  # log of 0
+    plane = GridFunction.constant(1.0, GridDomain.product(dom, dom), MP)
+    with pytest.raises(ValueError):  # 2-D grid, 1-D system, even with no step
+        viscous_solve(plane, MechanicalSystem((1.0,), 0.5, 0.0), h=0.1)
 
 
-def test_viscous_substep_cap():
-    # an absurd resolution/horizon pairing must refuse, not spin
-    dom = GridDomain(-1.0, 1.0, 4001)
-    ones = GridFunction.constant(1.0, dom, MP)
+def test_viscous_long_horizon_relaxes_to_mean():
+    # a step far wider than the box has no stability limit: reflected at
+    # the walls, u flattens to its trapezoid mean
+    dom = GridDomain(-1.0, 1.0, 401)
+    u0 = GridFunction.sample(lambda x: 1.0 + 0.5 * np.cos(3.0 * x), dom, MP)
     sys = MechanicalSystem((1.0,), 1000.0, 1000.0)
-    with pytest.raises(ValueError, match="sub-steps"):
-        viscous_solve(ones, sys, h=1.0)
+    u = viscous_solve(u0, sys, h=1.0)
+    mean = np.trapezoid(u0.values, dom.axes()[0]) / 2.0
+    assert np.max(np.abs(u.values / mean - 1.0)) <= 1e-12
+
+
+def test_viscous_constant_potential_adds_ct():
+    dom = GridDomain(-2.0, 2.0, 81)
+    h, c = 0.1, 0.75
+    u0 = GridFunction.sample(lambda x: np.exp(-(x**2) / h), dom, MP)
+    free = MechanicalSystem((1.0,), 0.5, 1.0)
+    lifted = MechanicalSystem((1.0,), 0.5, 1.0, potential=lambda x: np.full_like(x, c))
+    s_free = dequantize_solution(viscous_solve(u0, free, h), h)
+    s_lifted = dequantize_solution(viscous_solve(u0, lifted, h), h)
+    assert np.max(np.abs(s_lifted.values - (s_free.values + c * 1.0))) <= 1e-12
 
 
 def test_viscous_zero_horizon_is_identity():
