@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .linalg import _BLOCK_ELEMENTS
-from .semiring import Semiring, maxplus, minplus
+from .semiring import Semiring, maxplus
 
 __all__ = [
     "GridDomain",
@@ -210,11 +210,8 @@ def kernel_apply(kernel: GridFunction, phi: GridFunction) -> GridFunction:
 
 
 def negate_convention(phi: GridFunction) -> GridFunction:
-    """Flip the sign of the values and swap max-plus ↔ min-plus."""
-    if not phi.spec.is_idempotent:
-        raise ValueError(f"{phi.spec!r} has no order dual")
-    dual = minplus() if phi.spec.variant == "maxplus" else maxplus()
-    return GridFunction(phi.domain, -phi.values, dual)
+    """Flip the sign of the values and move to the order dual semiring."""
+    return GridFunction(phi.domain, -phi.values, phi.spec.dual)
 
 
 def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
@@ -223,8 +220,7 @@ def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
     Both operands must share spacing, dimension (1 or 2) and semiring.  The
     result lives on the Minkowski sum of the two boxes with point count
     ``p_φ + p_ψ − 1``; argument indices add exactly, so no interpolation is
-    involved.  Over min-plus this is the inf-convolution, computed through
-    the order-duality ``φ ⊛_min ψ = −((−φ) ⊛_max (−ψ))``.
+    involved.  Over min-plus this is the inf-convolution.
     """
     spec = phi.spec
     if psi.spec != spec:
@@ -238,21 +234,17 @@ def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
     for sa, sb in zip(phi.spacing, psi.spacing):
         if not np.isclose(sa, sb, rtol=1e-9, atol=0.0):
             raise ValueError(f"grid spacing mismatch: {sa} vs {sb}")
-    if spec.variant == "minplus":
-        return negate_convention(
-            sup_convolution(negate_convention(phi), negate_convention(psi))
-        )
 
     pa, pb = phi.domain.points_per_axis, psi.domain.points_per_axis
     out_shape = tuple(pa + pb - 1 for _ in range(phi.dim))
-    out = np.full(out_shape, -np.inf)
+    out = np.full(out_shape, spec.zero)
     pv = psi.values
     for idx in np.ndindex(*phi.values.shape):
         v = phi.values[idx]
-        if v == -np.inf:
+        if v == spec.zero:
             continue
         window = tuple(slice(i, i + pb) for i in idx)
-        np.maximum(out[window], v + pv, out=out[window])
+        out[window] = spec.add(out[window], v + pv)
     dom = GridDomain(
         tuple(a + b for a, b in zip(phi.domain.lower, psi.domain.lower)),
         tuple(a + b for a, b in zip(phi.domain.upper, psi.domain.upper)),
@@ -389,7 +381,7 @@ def legendre_transform(
     additions then happen in another order than in ``⟨ξ, x⟩ + c``, which
     moves results by a few ulps.
     """
-    if phi.spec.variant != "maxplus":
+    if phi.spec != maxplus():
         raise ValueError("Legendre transform expects a max-plus function")
     if xi_domain.dim != phi.dim:
         raise ValueError("dual grid dimension does not match the function")

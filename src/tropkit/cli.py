@@ -1,12 +1,14 @@
 """Command-line front end.
 
 One subcommand per capability; every command accepts ``--selftest`` (runs its
-built-in sanity examples and exits), ``--seed`` (fixes the RNG where one is
-used) and ``--output`` (file instead of stdout; relative paths resolve
-against ``$TROPKIT_OUTPUT_DIR`` when set).  Scalar output is printed with 12
-significant digits; grid files use the bit-exact CSV format.  Exit codes:
-0 success, 1 domain error (divergence, empty result, invalid parameter),
-2 malformed input or usage.
+built-in sanity examples and exits) and ``--output`` (file instead of stdout;
+relative paths resolve against ``$TROPKIT_OUTPUT_DIR`` when set).
+``semiring-check``, the one randomized command, also takes ``--seed``.  A
+scenario file's ``convention`` names the semiring that ``hj-evolve`` reads
+the initial action in; the action's semiring then drives the evolution.
+Scalar output is printed with 12 significant digits; grid files use the
+bit-exact CSV format.  Exit codes: 0 success, 1 domain error (divergence,
+empty result, invalid parameter), 2 malformed input or usage.
 """
 from __future__ import annotations
 
@@ -90,7 +92,7 @@ def _spec_by_name(name: str) -> semiring.Semiring:
         return semiring.maxplus()
     if name == "minplus":
         return semiring.minplus()
-    raise ValueError(f"unknown semiring {name!r}")
+    raise ValueError(f"unknown convention {name!r}")
 
 
 def _require(args, *names) -> None:
@@ -99,8 +101,8 @@ def _require(args, *names) -> None:
             raise InputFormatError(f"missing required argument {name!r}")
 
 
-def _parse_scenario(path) -> hamilton_jacobi.MechanicalSystem:
-    """Key-value scenario file: masses, dt, horizon, potential, convention."""
+def _parse_scenario(path) -> tuple[hamilton_jacobi.MechanicalSystem, semiring.Semiring]:
+    """Key-value scenario file: the system, and the semiring ``convention`` names."""
     fields: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -119,13 +121,13 @@ def _parse_scenario(path) -> hamilton_jacobi.MechanicalSystem:
     try:
         masses = _parse_float_list(fields["masses"])
         potential = hamilton_jacobi.builtin_potential(fields.get("potential", "zero"))
-        return hamilton_jacobi.MechanicalSystem(
+        system = hamilton_jacobi.MechanicalSystem(
             masses=tuple(masses),
             dt=float(fields["dt"]),
             horizon=float(fields["horizon"]),
             potential=potential,
-            convention=fields.get("convention", "minplus"),
         )
+        return system, _spec_by_name(fields.get("convention", "minplus"))
     except ValueError as exc:
         raise InputFormatError(str(exc), path=str(path)) from None
 
@@ -286,8 +288,7 @@ def cmd_hj_evolve(args) -> int:
     if args.selftest:
         return _run_selftest("hj-evolve", _selftest_hj_evolve)
     _require(args, "scenario", "initial")
-    sys_ = _parse_scenario(args.scenario)
-    spec = _spec_by_name(sys_.convention)
+    sys_, spec = _parse_scenario(args.scenario)
     initial = analysis.read_grid_csv(args.initial, spec)
     state = hamilton_jacobi.lax_oleinik_evolve(initial, sys_)
     _emit(args, analysis.grid_csv_text(state.S))
@@ -298,7 +299,7 @@ def cmd_hj_viscous(args) -> int:
     if args.selftest:
         return _run_selftest("hj-viscous", _selftest_hj_viscous)
     _require(args, "scenario", "initial")
-    sys_ = _parse_scenario(args.scenario)
+    sys_, _ = _parse_scenario(args.scenario)
     initial = analysis.read_grid_csv(args.initial, semiring.maxplus())
     if args.dequantize:  # stay in S = h·log u, never forming e^{S/h}
         out = hamilton_jacobi._viscous_action(initial, sys_, args.h).S
@@ -684,7 +685,6 @@ def _selftest_converge():
 
 def _add_common(sub, svg: bool = False) -> None:
     sub.add_argument("--output", "-o", default=None, help="write here instead of stdout")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed for randomized checks")
     sub.add_argument("--selftest", action="store_true", help="run built-in sanity examples and exit")
     if svg:
         sub.add_argument("--svg", default=None, help="also write an SVG preview here")
@@ -700,6 +700,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("semiring-check", help="randomized semiring-law audit")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--h", default="1,0.1", help="comma list of deformation parameters")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for randomized checks")
     _add_common(p)
     p.set_defaults(func=cmd_semiring_check)
 

@@ -37,7 +37,6 @@ __all__ = [
     "write_poly_json",
     "dequantize_at",
     "dequantize_limit",
-    "dequantize_limit_numeric",
     "newton_polytope",
     "subdifferential_at_origin",
 ]
@@ -204,13 +203,6 @@ def dequantize_limit(f: SparsePolynomial, x) -> float:
     if xv.shape != (f.dim,):
         raise ValueError(f"point must have {f.dim} coordinates")
     return float((f.exponent_array() @ xv).max())
-
-
-def dequantize_limit_numeric(f: SparsePolynomial, x, s: float) -> float:
-    """Finite-scale probe ``(1/s)·log|f(e^{s·x})|`` of the limit (h = 1/s)."""
-    if not s > 0:
-        raise ValueError("s must be positive")
-    return dequantize_at(f, 1.0 / s, x)
 
 
 # -- Newton polytope and its dual description -------------------------------

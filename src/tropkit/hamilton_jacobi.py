@@ -5,8 +5,10 @@ function evolves by the Lax-Oleinik semigroup.  One time step is an
 idempotent integral operator with the quadratic kernel
 ``K(x, y) = Σ_i m_i (x_i − y_i)² / (2 Δt)`` — added over min-plus (cost
 minimization), subtracted over max-plus (action maximization) — followed by
-an operator-splitting potential update ``S ← S + V·Δt``.  The step is a
-*linear* operator over its semiring, which is the superposition principle:
+an operator-splitting potential update ``S ← S + V·Δt``.  The action's own
+semiring picks the sign: the kernel takes the sign of that semiring's zero.
+The step is a *linear* operator over its semiring, which is the
+superposition principle:
 ``step(λ₁ ⊙ S₁ ⊕ λ₂ ⊙ S₂) = λ₁ ⊙ step(S₁) ⊕ λ₂ ⊙ step(S₂)``.
 
 The kernel is a sum of one (p × p) kernel per axis, so the step contracts
@@ -53,18 +55,16 @@ __all__ = [
 class MechanicalSystem:
     """Masses, potential, step size and horizon of one evolution problem.
 
-    ``convention`` selects the semiring of the action: ``"minplus"`` evolves
-    a cost-to-go (kernel added), ``"maxplus"`` an action being maximized
-    (kernel subtracted).  A ``subtropical(h)`` action deforms max-plus and
-    takes its sign whatever the convention says.  The horizon must be an
-    integer number of steps.
+    The system holds no semiring: an action evolves in the one it carries.
+    A min-plus action is a cost-to-go (kernel added), a max-plus action is
+    being maximized (kernel subtracted), and a ``subtropical(h)`` action
+    deforms max-plus.  The horizon must be an integer number of steps.
     """
 
     masses: tuple[float, ...]
     dt: float
     horizon: float
     potential: Callable | None = None
-    convention: str = "minplus"
 
     def __post_init__(self):
         object.__setattr__(
@@ -79,8 +79,6 @@ class MechanicalSystem:
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("horizon must be an integer multiple of dt")
-        if self.convention not in ("minplus", "maxplus"):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @property
     def dim(self) -> int:
@@ -125,12 +123,7 @@ def builtin_potential(text: str) -> Callable | None:
     raise ValueError(f"unknown potential {text!r}")
 
 
-def _check_convention(phi: GridFunction, sys: MechanicalSystem) -> None:
-    if phi.spec.is_idempotent and phi.spec.variant != sys.convention:
-        raise ValueError(
-            f"function lives in {phi.spec.variant} but the system declares "
-            f"{sys.convention}"
-        )
+def _check_dimension(phi: GridFunction, sys: MechanicalSystem) -> None:
     if phi.dim != sys.dim:
         raise ValueError(f"grid dimension {phi.dim} != system dimension {sys.dim}")
 
@@ -138,9 +131,10 @@ def _check_convention(phi: GridFunction, sys: MechanicalSystem) -> None:
 def _axis_kernels(domain: GridDomain, sys: MechanicalSystem, spec: Semiring) -> list[np.ndarray]:
     """The per-axis kernels ``±m_i (x_i − y_i)²/(2 Δt)`` as (p × p) arrays [x, y].
 
-    + for min-plus and − for max-plus; over ``subtropical(h)`` the heat
-    kernel of :func:`_heat_kernel`.  Callers check that the domain has the
-    system's dimension.
+    The sign is that of the semiring's zero: + over min-plus, − over
+    max-plus.  Over ``subtropical(h)`` the heat kernel of
+    :func:`_heat_kernel`.  Callers check that the domain has the system's
+    dimension.
     """
     kernels = []
     for m, ax, sigma in zip(sys.masses, domain.axes(), domain.spacing):
@@ -149,7 +143,7 @@ def _axis_kernels(domain: GridDomain, sys: MechanicalSystem, spec: Semiring) -> 
             continue
         diff = ax[:, None] - ax[None, :]
         kern = m * diff * diff / (2.0 * sys.dt)
-        kernels.append(-kern if spec.variant == "maxplus" else kern)
+        kernels.append(np.copysign(kern, spec.zero, out=kern))
     return kernels
 
 
@@ -184,19 +178,18 @@ def _heat_kernel(p: int, sigma: float, m: float, dt: float, spec: Semiring) -> n
     return kern + (spec.h * np.log(w) - spec.reduce(fold[last:last + period]))
 
 
-def quadratic_kernel(domain: GridDomain, sys: MechanicalSystem) -> GridFunction:
-    """The one-step transition kernel on the product grid X × X.
+def quadratic_kernel(domain: GridDomain, sys: MechanicalSystem, spec: Semiring) -> GridFunction:
+    """The one-step transition kernel over ``spec`` on the product grid X × X.
 
     ``K(x, y) = ± Σ_i m_i (x_i − y_i)²/(2 Δt)`` with + for min-plus and − for
-    max-plus, matching the system's convention.  This is the dense
-    (p^{2d}-entry) form of the kernel that :func:`lax_oleinik_step` applies
-    one axis at a time; it is kept as a reference for that step.
+    max-plus.  This is the dense (p^{2d}-entry) form of the kernel that
+    :func:`lax_oleinik_step` applies one axis at a time; it is kept as a
+    reference for that step.
     """
     d = domain.dim
     if d != sys.dim:
         raise ValueError("kernel domain does not match the system dimension")
     terms = []
-    spec = Semiring(sys.convention)
     for i, kern in enumerate(_axis_kernels(domain, sys, spec)):
         shape = [1] * (2 * d)
         shape[i] = shape[d + i] = domain.points_per_axis
@@ -237,7 +230,8 @@ def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, spec: Semiring) -
 def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
     """One semigroup step: quadratic-kernel propagation, then ``+ V·Δt``.
 
-    The quadratic kernel is a sum over axes, ``K = Σ_i K_i(x_i, y_i)`` with
+    The step runs over the semiring of ``state.S``.  The quadratic kernel is
+    a sum over axes, ``K = Σ_i K_i(x_i, y_i)`` with
     ``K_i = ±m_i (x_i − y_i)²/(2 Δt)``, and ⊙ (+) distributes over ⊕ (max,
     min, or ``h·log Σ exp(·/h)`` over ``subtropical(h)``), so
 
@@ -262,7 +256,7 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
     """
     phi = state.S
     spec = phi.spec
-    _check_convention(phi, sys)
+    _check_dimension(phi, sys)
     if spec.is_idempotent:
         _check_support(phi, sys)
     dom = phi.domain
@@ -287,10 +281,10 @@ def viscous_solve(u0: GridFunction, sys: MechanicalSystem, h: float) -> GridFunc
     """Solve ``h·∂u/∂t = Σ (h²/2m_i)·∂²u/∂x_i² + V·u`` to the horizon.
 
     The walls reflect.  This is :func:`lax_oleinik_evolve` over
-    ``subtropical(h)`` from ``S₀ = h·log u₀``, returned as ``e^{S/h}``, with
-    max-plus's sign whatever ``sys.convention`` says.  Each step convolves
-    with the reflected heat kernel under trapezoid weights, which keeps
-    constants and trapezoid mass, then multiplies by ``e^{V·Δt/h}``.
+    ``subtropical(h)`` from ``S₀ = h·log u₀``, returned as ``e^{S/h}``.  Each
+    step convolves with the reflected heat kernel under trapezoid weights,
+    which keeps constants and trapezoid mass, then multiplies by
+    ``e^{V·Δt/h}``.
 
     ``u0`` must be strictly positive so that ``h·log u`` stays meaningful.
     """
@@ -301,7 +295,7 @@ def viscous_solve(u0: GridFunction, sys: MechanicalSystem, h: float) -> GridFunc
 def _viscous_action(u0: GridFunction, sys: MechanicalSystem, h: float) -> ActionState:
     """Evolve ``S₀ = h·log u₀`` over ``subtropical(h)``: S out, no ``e^{S/h}``."""
     s0 = GridFunction(u0.domain, dequantize_solution(u0, h).values, subtropical(h))
-    _check_convention(s0, sys)
+    _check_dimension(s0, sys)
     return lax_oleinik_evolve(s0, sys)
 
 
@@ -352,7 +346,6 @@ def superposition_check(
     """
     if s1.spec != s2.spec or s1.domain != s2.domain:
         raise ValueError("superposition operands must share grid and semiring")
-    _check_convention(s1, sys)
     spec = s1.spec
     combined = s1.with_values(spec.add(spec.mul(lam1, s1.values), spec.mul(lam2, s2.values)))
     lhs = lax_oleinik_step(ActionState(combined, 0.0), sys).S

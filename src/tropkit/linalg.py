@@ -210,7 +210,6 @@ def solve_bellman(
     h: SemiringMatrix,
     f: SemiringMatrix,
     method: str = "jacobi",
-    max_iter: int | None = None,
 ) -> SemiringMatrix:
     """Least solution of the stationary Bellman equation ``X = H ⊙ X ⊕ F``.
 
@@ -224,13 +223,11 @@ def solve_bellman(
         ``"jacobi"`` updates all rows simultaneously; ``"gauss-seidel"``
         sweeps rows in ascending index order, each row reading the freshest
         values.  Both stabilize on the same least solution ``H* ⊙ F``.
-    max_iter : int, optional
-        Iteration (sweep) budget, defaulting to ``2·n``.
 
     Raises
     ------
     DivergenceError
-        If iterates are still changing after the budget plus one extra pass.
+        If iterates still change after ``2·n`` passes (``n`` rows) plus one more.
     """
     spec = _require_same_spec(h, f)
     if h.rows != h.cols:
@@ -240,10 +237,7 @@ def solve_bellman(
     method = method.lower().replace("_", "-")
     if method not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown method {method!r}")
-    n = h.rows
-    if max_iter is None:
-        max_iter = 2 * n
-
+    max_iter = 2 * h.rows
     he = h.entries
     fe = f.entries
 

@@ -34,9 +34,7 @@ __all__ = [
     "maxplus",
     "minplus",
     "subtropical",
-    "tropical_add",
     "subtropical_add",
-    "standard_order_leq",
 ]
 
 _VARIANTS = ("maxplus", "minplus", "subtropical")
@@ -83,6 +81,16 @@ class Semiring:
     @property
     def is_idempotent(self) -> bool:
         return self.variant != "subtropical"
+
+    @property
+    def dual(self) -> "Semiring":
+        """The order dual under x ↦ −x: max-plus ↔ min-plus.
+
+        Raises ValueError for ``subtropical(h)``, which deforms max-plus only.
+        """
+        if not self.is_idempotent:
+            raise ValueError(f"{self!r} has no order dual")
+        return _MINPLUS if self.variant == "maxplus" else _MAXPLUS
 
     # -- operations --------------------------------------------------------
     def add(self, a, b):
@@ -172,11 +180,6 @@ def subtropical(h: float) -> Semiring:
     return Semiring("subtropical", float(h))
 
 
-def tropical_add(a, b, spec: Semiring):
-    """a ⊕ b in the given semiring (elementwise on arrays)."""
-    return spec.add(a, b)
-
-
 def _h_logsumexp(values, axis, h: float, out, overwrite: bool):
     """``h·log Σ exp(v/h)`` over ``axis``: SciPy 1.17's ``logsumexp`` steps,
     in place and with one ``exp`` pass.
@@ -228,8 +231,3 @@ def subtropical_add(u, v, h: float):
         out = hi + h * np.log1p(np.exp(-gap / h))
     out = np.where(np.isneginf(hi), -math.inf, out)
     return _maybe_float(out)
-
-
-def standard_order_leq(a, b, spec: Semiring) -> bool:
-    """a ≼ b in the standard order of an idempotent semiring (a ⊕ b == b)."""
-    return spec.leq(a, b)

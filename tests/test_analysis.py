@@ -248,6 +248,19 @@ def test_convolution_minplus_by_duality():
     assert np.array_equal(out.values, neg.values)
 
 
+def test_minplus_convolution_matches_brute_force_bitwise():
+    # φ = x and ψ = −x cancel exactly: min_x φ(x) + ψ(g − x) is +0.0 there
+    dom = GridDomain(-1.0, 1.0, 5)
+    phi = GridFunction.sample(lambda x: x, dom, MN)
+    psi = GridFunction.sample(lambda x: -x, dom, MN)
+    out = sup_convolution(phi, psi)
+    ref = np.full(9, math.inf)
+    for i, a in enumerate(phi.values):
+        for j, b in enumerate(psi.values):
+            ref[i + j] = min(ref[i + j], a + b)
+    assert out.values.tobytes() == ref.tobytes()
+
+
 def test_convolution_2d():
     dom = GridDomain((0.0, 0.0), (1.0, 1.0), 9)
     phi = GridFunction.sample(lambda x, y: -(x**2) - y**2, dom, MP)

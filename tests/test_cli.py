@@ -167,6 +167,17 @@ def test_scenario_errors(tmp_path, capsys):
     assert "scen.txt:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("convention", ["subtropical", "foo"])
+def test_scenario_unknown_convention(tmp_path, capsys, convention):
+    scen = tmp_path / "scen.txt"
+    scen.write_text(f"masses 1.0\ndt 0.5\nhorizon 1.0\nconvention {convention}\n")
+    init = tmp_path / "s0.csv"
+    write_grid_csv(GridFunction.constant(0.0, GridDomain(-1.0, 1.0, 11), minplus()), init)
+    assert main(["hj-evolve", str(scen), str(init)]) == 2
+    err = capsys.readouterr().err
+    assert "scen.txt" in err and convention in err
+
+
 def test_dequantize_command(poly_file, capsys):
     assert main(["dequantize", poly_file, "--point", "1,0", "--h", "0.1", "--limit"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

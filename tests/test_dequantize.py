@@ -12,7 +12,6 @@ from tropkit import (
     convex_hull,
     dequantize_at,
     dequantize_limit,
-    dequantize_limit_numeric,
     minkowski_add,
     minkowski_mul,
     newton_polytope,
@@ -137,9 +136,9 @@ def test_limit_is_piecewise_linear():
     f = SparsePolynomial(1, (((0,), 1.0), ((1,), 1.0)))
     for x in (-2.0, -0.5, 0.0, 0.7, 3.0):
         assert dequantize_limit(f, [x]) == max(0.0, x)
-    # a large finite s gets within 1/s·log(terms) of the limit
-    assert dequantize_limit_numeric(f, [0.7], 1e3) == pytest.approx(0.7, abs=1e-2)
-    assert dequantize_limit_numeric(f, [0.7], 1e6) == pytest.approx(0.7, abs=1e-5)
+    # a small h gets within h·log(terms) of the limit
+    assert dequantize_at(f, 1e-3, [0.7]) == pytest.approx(0.7, abs=1e-2)
+    assert dequantize_at(f, 1e-6, [0.7]) == pytest.approx(0.7, abs=1e-5)
 
 
 @pytest.mark.parametrize("h", [1.0, 0.1, 0.01])

@@ -1,0 +1,23 @@
+import importlib
+import pkgutil
+
+import tropkit
+
+# The command line and its SVG helper are front ends; the package re-exports
+# the public names of every other module.
+FRONT_ENDS = {"cli", "svgplot"}
+
+
+def library_modules():
+    names = sorted(m.name for m in pkgutil.iter_modules(tropkit.__path__))
+    return [importlib.import_module(f"tropkit.{n}") for n in names if n not in FRONT_ENDS]
+
+
+def test_every_export_resolves():
+    missing = [name for name in tropkit.__all__ if not hasattr(tropkit, name)]
+    assert not missing
+
+
+def test_package_exports_are_the_modules_exports():
+    union = set().union(*(m.__all__ for m in library_modules()))
+    assert set(tropkit.__all__) - {"__version__"} == union

@@ -51,8 +51,6 @@ def test_system_validation():
         MechanicalSystem((1.0,), -0.5, 1.0)
     with pytest.raises(ValueError):
         MechanicalSystem((1.0,), 0.5, 0.75)  # horizon not a multiple of dt
-    with pytest.raises(ValueError):
-        MechanicalSystem((1.0,), 0.5, 1.0, convention="subtropical")
     sys = MechanicalSystem((1.0, 1.0, 1.0), 0.25, 1.0)
     assert sys.dim == 3 and sys.steps == 4
 
@@ -73,12 +71,12 @@ def test_builtin_potentials():
 def test_quadratic_kernel_values():
     dom = GridDomain(0.0, 1.0, 3)
     sys = MechanicalSystem((2.0,), 0.25, 0.25)
-    kern = quadratic_kernel(dom, sys)
+    kern = quadratic_kernel(dom, sys, MN)
     # K(x, y) = m (x-y)² / (2 dt) = 4 (x-y)²
     assert kern.values[0, 2] == 4.0  # x=0, y=1
     assert kern.values[1, 1] == 0.0
     assert kern.spec == MN
-    neg = quadratic_kernel(dom, MechanicalSystem((2.0,), 0.25, 0.25, convention="maxplus"))
+    neg = quadratic_kernel(dom, sys, MP)
     assert np.array_equal(neg.values, -kern.values)
 
 
@@ -118,7 +116,7 @@ def test_parabola_spreads_to_quarter():
 def test_maxplus_convention_mirrors_minplus():
     dom = GridDomain(-2.0, 2.0, 401)
     s0 = GridFunction.sample(lambda x: -(x**2), dom, MP)
-    sys = MechanicalSystem((1.0,), 1.0, 1.0, convention="maxplus")
+    sys = MechanicalSystem((1.0,), 1.0, 1.0)
     out = lax_oleinik_evolve(s0, sys)
     x = dom.axes()[0]
     # sup_y [-(x-y)²/2 - y²] = -x²/3
@@ -166,12 +164,8 @@ def test_domain_too_small():
         lax_oleinik_step(ActionState(steep, 0.0), sys)
 
 
-def test_convention_mismatch_raises():
-    dom = GridDomain(-1.0, 1.0, 11)
-    s_max = GridFunction.constant(0.0, dom, MP)
-    sys = MechanicalSystem((1.0,), 0.5, 0.5)  # min-plus by default
-    with pytest.raises(ValueError):
-        lax_oleinik_step(ActionState(s_max, 0.0), sys)
+def test_dimension_mismatch_raises():
+    sys = MechanicalSystem((1.0,), 0.5, 0.5)
     with pytest.raises(ValueError):
         lax_oleinik_evolve(
             GridFunction.constant(0.0, GridDomain((-1.0, -1.0), (1.0, 1.0), 5), MN), sys
@@ -195,7 +189,7 @@ def dense_step(state, sys):
     osc = float(finite.max() - finite.min()) if finite.size else 0.0
     if math.sqrt(2.0 * sys.dt * osc / min(sys.masses)) > extent:
         return None
-    out = kernel_apply(quadratic_kernel(dom, sys), phi).values
+    out = kernel_apply(quadratic_kernel(dom, sys, phi.spec), phi).values
     if sys.potential is not None:
         out = out + np.asarray(sys.potential(*dom.grids()), dtype=float) * sys.dt
     return out
@@ -223,7 +217,7 @@ def action_problems(draw, dim, max_p):
     masses = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
     dt = draw(st.floats(0.05, 2.0))
     potential = builtin_potential(draw(st.sampled_from(["zero", "quadratic 0.7", "double-well"])))
-    sys = MechanicalSystem(masses, dt, dt, potential=potential, convention=spec.variant)
+    sys = MechanicalSystem(masses, dt, dt, potential=potential)
     return ActionState(GridFunction(dom, vals, spec), 0.0), sys
 
 

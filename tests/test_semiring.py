@@ -13,7 +13,6 @@ from tropkit import (
     minplus,
     subtropical,
     subtropical_add,
-    standard_order_leq,
 )
 
 RNG = np.random.default_rng(20260823)
@@ -56,7 +55,6 @@ def test_order_examples():
     assert mn.leq(5.0, 2.0) and not mn.leq(2.0, 5.0)
     assert mp.leq(-math.inf, -1e300)
     assert mn.leq(math.inf, 1e300)
-    assert standard_order_leq(1.0, 1.0, mp)
 
 
 def test_subtropical_examples():
@@ -81,6 +79,14 @@ def test_subtropical_spec_object():
     assert s.mul(3.0, 5.0) == 8.0
     with pytest.raises(ValueError):
         s.leq(1.0, 2.0)  # no canonical order without idempotency
+
+
+def test_dual_swaps_max_and_min():
+    mp, mn = maxplus(), minplus()
+    assert mp.dual == mn and mn.dual == mp
+    assert mp.dual.dual == mp and mn.dual.dual == mn
+    with pytest.raises(ValueError, match="dual"):
+        subtropical(0.5).dual
 
 
 def test_invalid_specs():
