@@ -15,11 +15,11 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """An iterative fixed-point computation failed to stabilize.
+    """A closure or fixed point does not exist.
 
-    Raised by the Kleene-star partial sums and the Bellman solvers when the
-    iteration is still changing after the iteration budget plus one extra
-    verification pass (the tropical signature of a positive/negative cycle).
+    Raised by :meth:`Semiring.star`, hence by the Kleene star, and by the
+    Bellman iterations when they still change after their budget plus one
+    verification pass (the tropical signature of an improving cycle).
     """
 
 

@@ -3,21 +3,17 @@
 Matrix addition and multiplication are the semiring lifts of ⊕ and ⊙; over
 min-plus, ``mat_mul`` is the classical (min, +) product whose powers encode
 shortest walks, and the Kleene star ``A* = I ⊕ A ⊕ A² ⊕ ...`` collects walks
-of every length.  Over an idempotent semiring the star is computed as a
-Floyd–Warshall closure in O(n³) time and O(n²) memory; a matrix with a
-⊙-improving cycle (max-plus: positive cycle weight; min-plus: negative cycle
-weight) has no star, which the closure shows as a diagonal entry other than
-the unit and reports as :class:`~tropkit.errors.DivergenceError`.
+of every length.  One elimination computes the star over every semiring from
+the scalar closures :meth:`Semiring.star` of its pivots; a pivot with none is
+a ⊙-improving cycle, reported as :class:`~tropkit.errors.DivergenceError`.
 
 The stationary Bellman equation ``X = H ⊙ X ⊕ F`` has the least solution
-``X = H* ⊙ F``, reachable by simple iteration from ``X = F``; both a Jacobi
-(simultaneous) and a Gauss-Seidel (in-place, ascending row sweeps over each
-row's stored entries) scheme are provided.  Iterations over an idempotent
-semiring are monotone in the standard order, so stabilization is detected by
-exact equality of consecutive iterates; iterates that still change after the
-budget plus one verification pass raise :class:`DivergenceError`.  Every
-⊕ over many terms (a product entry, a Gauss-Seidel row) is
-:meth:`Semiring.reduce`.
+``X = H* ⊙ F``, so computed over ``subtropical(h)``.  Over max-plus and
+min-plus it is reached by monotone iteration from ``X = F``, Jacobi
+(simultaneous) or Gauss-Seidel (in-place, ascending row sweeps over each
+row's stored entries), and detected by exact equality of consecutive iterates;
+iterates that still change after the budget plus one verification pass raise
+:class:`DivergenceError`.  Every ⊕ over many terms is :meth:`Semiring.reduce`.
 
 Single-source shortest paths are the Jacobi iteration of ``X = Wᵀ ⊙ X ⊕ F``
 on a digraph's min-plus adjacency ``W``, carried out as relaxation over the
@@ -149,47 +145,31 @@ def mat_mul(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
 def kleene_star(a: SemiringMatrix) -> SemiringMatrix:
     """The closure ``A* = I ⊕ A ⊕ A² ⊕ ...``: best walk weights of every length.
 
-    Over an idempotent semiring (max-plus, min-plus) this is the Floyd–Warshall
-    closure: starting from ``D = A ⊕ I``, each node k in turn relays
-    ``D ← D ⊕ D[:, k] ⊙ D[k, :]``, in O(n³) time and O(n²) memory.  Divergence
-    is read off the diagonal: an entry other than the unit is a cycle that
-    keeps improving walk weights.  Over ``subtropical(h)``, whose ⊕ is not
-    idempotent and would count a walk more than once under relaying, the
-    partial sums ``S ← A ⊙ S ⊕ I`` are iterated to exact stabilization within
-    ``2·n`` steps, and one extra step decides between a late fixed point and
-    divergence.
+    One Gauss–Jordan–Kleene elimination for every semiring, in O(n³) time and
+    O(n²) memory: from ``D = A``, each pivot k updates ``D ← D ⊕ D[:, k] ⊙
+    star(D[k, k]) ⊙ D[k, :]`` from the old column and row; ``A* = D ⊕ I``.
+    That is Floyd–Warshall over max-plus and min-plus, and ``h·log (I −
+    e^{A/h})⁻¹`` over ``subtropical(h)``, which exists iff ``ρ(e^{A/h}) < 1``.
 
     Raises
     ------
     DivergenceError
-        If the matrix has a ⊙-improving cycle (or, over ``subtropical(h)``,
-        the series is still changing after the extra step).
+        At the first pivot k with no :meth:`Semiring.star`: the
+        highest-indexed node of a cycle that keeps improving path weights.
     """
     if a.rows != a.cols:
         raise ValueError("Kleene star requires a square matrix")
     spec = a.spec
-    if not spec.is_idempotent:
-        return _kleene_series(a)
-    d = mat_add(a, SemiringMatrix.identity(a.rows, spec)).entries
-    for k in range(a.rows):
-        d = spec.add(d, d[:, k, None] + d[k])
-    if np.any(d.diagonal() != spec.one):
+    d = a.entries
+    try:
+        for k in range(a.rows):
+            d = spec.add(d, (d[:, k] + spec.star(d[k, k]))[:, None] + d[k])
+    except DivergenceError:
         raise DivergenceError(
-            "Kleene star does not exist: the matrix has a cycle that keeps "
-            "improving path weights"
-        )
-    return SemiringMatrix(d, spec)
-
-
-def _kleene_series(a: SemiringMatrix) -> SemiringMatrix:
-    spec, max_iter = a.spec, 2 * a.rows
-    eye = SemiringMatrix.identity(a.rows, spec).entries
-    s = _fixed_point(
-        lambda s: spec.add(_product_entries(a.entries, s, spec), eye), eye, max_iter,
-        f"Kleene series did not stabilize within {max_iter} iterations; "
-        "the matrix has a cycle that keeps improving path weights",
-    )
-    return SemiringMatrix(s, spec)
+            f"Kleene star does not exist: node {k} lies on a cycle that keeps "
+            f"improving path weights (D[{k}, {k}] = {float(d[k, k])!r})"
+        ) from None
+    return SemiringMatrix(spec.add(d, SemiringMatrix.identity(a.rows, spec).entries), spec)
 
 
 def _fixed_point(step, x: np.ndarray, max_iter: int, failure: str) -> np.ndarray:
@@ -222,12 +202,13 @@ def solve_bellman(
     method : str
         ``"jacobi"`` updates all rows simultaneously; ``"gauss-seidel"``
         sweeps rows in ascending index order, each row reading the freshest
-        values.  Both stabilize on the same least solution ``H* ⊙ F``.
+        values; both over max-plus and min-plus.  Over ``subtropical(h)``
+        either returns the closed form ``kleene_star(h) ⊙ f``.
 
     Raises
     ------
     DivergenceError
-        If iterates still change after ``2·n`` passes (``n`` rows) plus one more.
+        If iterates still change after ``2·n`` passes plus one, or ``h`` has no star.
     """
     spec = _require_same_spec(h, f)
     if h.rows != h.cols:
@@ -237,6 +218,8 @@ def solve_bellman(
     method = method.lower().replace("_", "-")
     if method not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown method {method!r}")
+    if not spec.is_idempotent:
+        return mat_mul(kleene_star(h), f)
     max_iter = 2 * h.rows
     he = h.entries
     fe = f.entries
@@ -253,7 +236,7 @@ def solve_bellman(
         def step(x: np.ndarray) -> np.ndarray:
             x = x.copy()
             for i, cols, w in rows:
-                x[i] = spec.add(spec.reduce(w[:, None] + x[cols], 0, overwrite=True), fe[i])
+                x[i] = spec.add(spec.reduce(w[:, None] + x[cols], 0), fe[i])
             return x
 
     x = _fixed_point(

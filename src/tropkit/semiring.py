@@ -12,8 +12,9 @@ Three concrete semirings share the carrier conventions of IEEE doubles:
   bounded by ``h·log 2`` and is attained at ``a == b``.
 
 :meth:`Semiring.reduce` is the one ⊕ over many terms that the matrix,
-Bellman, grid and Lax–Oleinik code contract with: ``max``, ``min``, or
-``h·log Σ exp(v/h)`` evaluated in one shifted ``exp`` pass.
+Bellman, grid and Lax–Oleinik code contract with (``max``, ``min``, or
+``h·log Σ exp(v/h)`` in one shifted ``exp`` pass), and :meth:`Semiring.star`
+the scalar closure ``1 ⊕ a ⊕ a⊙a ⊕ ...`` that the Kleene star eliminates with.
 
 Scalars are plain floats.  The semiring zero ("bottom") is a genuine IEEE
 infinity, so absorption and neutrality mostly fall out of float arithmetic;
@@ -28,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DivergenceError
 
 __all__ = [
     "Semiring",
@@ -132,6 +135,19 @@ class Semiring:
         if self.variant == "minplus":
             return np.min(values, axis=axis, out=out)
         return _h_logsumexp(values, axis, self.h, out, overwrite)
+
+    def star(self, a: float) -> float:
+        """The scalar closure ``a* = 1 ⊕ a ⊕ a⊙a ⊕ ...``: 0 for max-plus
+        ``a ≤ 0`` and min-plus ``a ≥ 0``; ``−h·log(−expm1(a/h))`` for
+        subtropical(h) ``a < 0``, +0.0 at bottom; else DivergenceError.
+        """
+        if self.variant == "subtropical":
+            if a < 0.0:
+                # 0.0 − (+0.0) is +0.0, where −h·log(1.0) alone would give −0.0
+                return 0.0 - self.h * math.log(-math.expm1(a / self.h))
+        elif (a <= 0.0) if self.variant == "maxplus" else (a >= 0.0):
+            return 0.0
+        raise DivergenceError(f"{float(a)!r} has no star in {self!r}")
 
     def leq(self, a, b) -> bool:
         """The standard partial order: a ≼ b iff a ⊕ b == b.

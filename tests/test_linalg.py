@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -282,18 +282,53 @@ def test_star_matches_series_on_real_weights(spec, sign, graph):
     assert np.all(np.abs(new[finite] - old[finite]) <= n * 2.0**-52 * np.abs(old[finite]))
 
 
+def reachable(entries):
+    """Walks of length ≥ 0 between nodes: the pattern where ``(I − B)⁻¹ > 0``."""
+    r = np.isfinite(entries) | np.eye(len(entries), dtype=bool)
+    for k in range(len(entries)):
+        r |= r[:, k, None] & r[k]
+    return r
+
+
+def spectral_radius(entries, h):
+    return float(np.max(np.abs(np.linalg.eigvals(np.exp(entries / h)))))
+
+
+def near_closed_form(got, ref, n, h, rho):
+    """``|got − ref| ≤ 4·n·2⁻⁵²·(h + |ref|)/(1 − ρ)``: a few ulps of the
+    linear-domain ``e^{ref/h}`` per node, amplified by the condition of
+    ``I − e^{A/h}``.  Assumes nothing when ``ρ ≥ 1``."""
+    if rho >= 1.0:
+        return True
+    return bool(np.all(np.abs(got - ref) <= 4 * n * 2.0**-52 * (h + np.abs(ref)) / (1 - rho)))
+
+
+SUBTROPICAL_WEIGHTS = [st.floats(-60.0, -20.0), st.floats(-6.0, -1.0)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    graph=digraphs(st.floats(-60.0, -20.0), max_n=6),
+    graph=st.one_of(*(digraphs(w, max_n=6) for w in SUBTROPICAL_WEIGHTS)),
     h=st.sampled_from([1.0, 0.5, 0.25]),
 )
 def test_subtropical_star_is_the_series(graph, h):
+    # The series I ⊕ A ⊕ A² ⊕ ... sums to h·log (I − e^{A/h})⁻¹ when
+    # ρ(e^{A/h}) < 1 and diverges otherwise; near ρ = 1 the verdict is left to
+    # rounding.  The closed form is compared where its entries are normal
+    # numbers: e^{A/h} underflows long before A* does.
     a = as_matrix(graph[1], subtropical(h))
-    new, old = outcome(kleene_star, a), outcome(series_star, a)
-    if isinstance(old, str):
-        assert new == old
-    else:
-        assert np.array_equal(new, old)
+    n, e = a.rows, a.entries
+    rho = spectral_radius(e, h)
+    try:
+        star = kleene_star(a).entries
+    except DivergenceError:
+        assert rho >= 0.9
+        return
+    assert rho <= 1.1
+    assert np.array_equal(np.isfinite(star), reachable(e))
+    inv = np.linalg.inv(np.eye(n) - np.exp(e / h))
+    normal = inv >= np.finfo(float).tiny
+    assert near_closed_form(star[normal], h * np.log(inv[normal]), n, h, rho)
 
 
 @st.composite
@@ -323,27 +358,79 @@ def test_gauss_seidel_matches_dense_sweeps(spec, sign, system):
         assert np.array_equal(new, old)
 
 
+# n = 6, weights in [−6, −3], ρ(e^{H}) = 0.090: a series still moving in its
+# last bits after 2n passes
+BELLMAN_N6 = (
+    [[-4.1, -3.3, -3.7, -5.3, -5.1, -3.4], [-6.0, -3.5, -3.6, -4.6, -5.1, -5.2],
+     [-5.2, -4.7, -4.5, -4.3, -3.0, -3.6], [-4.1, -3.0, -5.4, -5.5, -4.2, -5.9],
+     [-5.9, -4.5, -4.6, -3.2, -4.1, -4.5], [-4.5, -5.3, -6.0, -5.4, -3.9, -5.4]],
+    [[2.0], [-1.0], [0.0], [-5.0], [1.0], [4.0]],
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    system=bellman_systems(st.floats(-60.0, -20.0), max_n=12),
+    system=st.one_of(*(bellman_systems(w, max_n=12) for w in SUBTROPICAL_WEIGHTS)),
     h=st.sampled_from([1.0, 0.5, 0.25]),
+    method=st.sampled_from(["jacobi", "gauss-seidel"]),
 )
-def test_subtropical_gauss_seidel_matches_dense_sweeps(system, h):
-    # Dropping the bottom terms leaves every ⊕-sum the same, and the columns
-    # of a multi-column F are summed term by term in row order, so those agree
-    # bit for bit.  NumPy sums a single contiguous column pairwise once it has
-    # 8 terms, and the grouping changes when bottom terms are left out: there
-    # each entry agrees within n²·2⁻⁵² of max(1, |x|).
+@example(system=BELLMAN_N6, h=1.0, method="jacobi")
+@example(system=BELLMAN_N6, h=1.0, method="gauss-seidel")
+def test_subtropical_bellman_is_the_closed_form(system, h, method):
+    # X = h·log (I − e^{H/h})⁻¹ e^{F/h}: both methods, one closed form.  F
+    # is finite everywhere, so X is too and every entry is compared.
     entries, f = system
     n, spec = len(entries), subtropical(h)
     hm, fm = as_matrix(entries, spec), SemiringMatrix(f, spec)
-    new = outcome(solve_bellman, hm, fm, "gauss-seidel")
-    old = outcome(dense_gauss_seidel, hm, fm)
-    assert not isinstance(old, str)
-    if len(f[0]) > 1 or n < 8:
-        assert np.array_equal(new, old)
-    else:
-        assert np.all(np.abs(new - old) <= n * n * 2.0**-52 * np.maximum(1.0, np.abs(old)))
+    rho = spectral_radius(hm.entries, h)
+    try:
+        x = solve_bellman(hm, fm, method).entries
+    except DivergenceError:
+        assert rho >= 0.9
+        return
+    assert rho <= 1.1
+    ref = h * np.log(np.linalg.solve(np.eye(n) - np.exp(hm.entries / h), np.exp(fm.entries / h)))
+    assert np.all(np.isfinite(x))
+    assert near_closed_form(x, ref, n, h, rho)
+
+
+def test_subtropical_star_dequantizes_to_maxplus():
+    # One fixed 24-node digraph with 4 out-edges per node, weights in
+    # [−2, −0.5], so ρ(e^{A/h}) ≤ 4·e^{−0.5/0.3} < 1 on every rung.  S_h ≥ M
+    # holds in floats: both eliminations add in the same order, S_h's pivot
+    # stars are ≥ 0 and u ⊕_h v ≥ max(u, v).
+    rng = np.random.default_rng(30)
+    n = 24
+    a = np.full((n, n), -INF)
+    for i in range(n):
+        a[i, rng.choice(n, 4, replace=False)] = rng.uniform(-2.0, -0.5, 4)
+    m = kleene_star(SemiringMatrix(a, maxplus())).entries
+    finite = np.isfinite(m)
+    gaps = []
+    for h in (0.3, 0.2, 0.1, 0.05, 0.01, 0.005, 0.001):
+        s = kleene_star(SemiringMatrix(a, subtropical(h))).entries
+        assert np.array_equal(np.isfinite(s), finite)
+        assert np.all(s[finite] >= m[finite])
+        gaps.append(float(np.max(s[finite] - m[finite])))
+    assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] < 1e-3
+
+
+@pytest.mark.parametrize("spec, sign", IDEMPOTENT + [(subtropical(0.25), -1.0)])
+def test_star_divergence_names_the_cycles_last_node(spec, sign):
+    # Weights elsewhere are ≥ 1 (min-plus sense), so the planted cycle
+    # 3 → 8 → 5 → 3 of weight −1 is the only improving one, and node 8, its
+    # highest-indexed node, is the first pivot that closes it.
+    rng = np.random.default_rng(31)
+    n = 10
+    w = np.where(rng.random((n, n)) < 0.4, rng.uniform(1.0, 5.0, (n, n)), INF)
+    w[3, 8], w[8, 5], w[5, 3] = -1.0, 0.0, 0.0
+    a = SemiringMatrix(np.where(np.isinf(w), spec.zero, sign * w), spec)
+    with pytest.raises(
+        DivergenceError,
+        match=r"^Kleene star does not exist: node 8 .*keeps improving path weights",
+    ):
+        kleene_star(a)
 
 
 @pytest.mark.parametrize("spec", [maxplus(), minplus(), subtropical(0.5)])

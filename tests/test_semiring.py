@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from tropkit import (
+    DivergenceError,
     Semiring,
     maxplus,
     minplus,
@@ -89,6 +90,30 @@ def test_dual_swaps_max_and_min():
         subtropical(0.5).dual
 
 
+def test_star_values():
+    mp, mn = maxplus(), minplus()
+    for a in (0.0, -0.5, -1e300, -math.inf):
+        assert mp.star(a) == 0.0
+        assert mn.star(-a) == 0.0
+    # −log(1 − e⁻¹): the series 1 + e⁻¹ + e⁻² + ... through h·log
+    assert subtropical(1.0).star(-1.0) == pytest.approx(0.4586751453870819, rel=1e-15)
+    for h in (1.0, 0.5, 0.01):
+        a = -0.7 * h
+        assert subtropical(h).star(a) == pytest.approx(-h * math.log(1 - math.exp(a / h)), rel=1e-14)
+        assert subtropical(h).star(-1000.0) == 0.0  # e^{a/h} below an ulp of 1
+        bottom = subtropical(h).star(-math.inf)
+        assert bottom == 0.0 and math.copysign(1.0, bottom) == 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, a",
+    [(maxplus(), 0.5), (minplus(), -0.5), (subtropical(1.0), 0.0), (subtropical(1.0), 0.1)],
+)
+def test_star_raises_where_the_series_diverges(spec, a):
+    with pytest.raises(DivergenceError, match="no star"):
+        spec.star(a)
+
+
 def test_invalid_specs():
     with pytest.raises(ValueError):
         Semiring("subtropical", h=0.0)
@@ -134,6 +159,25 @@ def test_idempotent_laws_exact(spec):
     assert np.array_equal(add(a, np.full_like(a, spec.zero)), a)
     assert np.array_equal(mul(a, np.zeros_like(a)), a)
     assert np.array_equal(mul(a, np.full_like(a, spec.zero)), np.full_like(a, spec.zero))
+
+
+@pytest.mark.parametrize(
+    "spec, sign", [(maxplus(), 1.0), (minplus(), -1.0)], ids=["maxplus", "minplus"]
+)
+def test_star_law_exact(spec, sign):
+    # a* = 1 ⊕ a ⊙ a*, with a ranging over the values that have a star
+    for a in sign * np.concatenate([dyadic(200, hi=0), [0.0, -math.inf]]):
+        star = spec.star(a)
+        assert star == spec.add(spec.one, spec.mul(a, star))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-30.0, -1e-3), h=st.sampled_from([1.0, 0.5, 0.1, 0.01]))
+def test_subtropical_star_law(a, h):
+    # a* = 1 ⊕_h a ⊙ a* within 2·2⁻⁵²·(h + |a*|): a few ulps of e^{a*/h}
+    s = subtropical(h)
+    star = s.star(a)
+    assert abs(star - s.add(s.one, s.mul(a, star))) <= 2 * 2.0**-52 * (h + abs(star))
 
 
 def test_distributivity_exact_for_arbitrary_floats():
