@@ -173,7 +173,8 @@ def _occupied_cells(points: np.ndarray, rho: float, offset: float = 0.0) -> int:
     n = points.shape[1]
     side = 2.0 * rho / math.sqrt(n)
     idx = np.floor(points / side + offset).astype(np.int64)
-    return int(np.unique(idx, axis=0).shape[0])
+    cells = idx[np.lexsort(idx.T)]
+    return 1 + int(np.count_nonzero((cells[1:] != cells[:-1]).any(axis=1)))
 
 
 def covering_number(cloud: PointCloud, rho: float) -> int:

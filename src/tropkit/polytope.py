@@ -1,10 +1,12 @@
 """Exact convex polytopes in dimension ≤ 3 with Minkowski operations.
 
-Vertices are tuples of :class:`fractions.Fraction`, so hull predicates are
-decided exactly — degenerate inputs (collinear, coplanar, repeated points)
-need no epsilons.  A polytope is stored canonically as its lexicographically
-sorted irredundant vertex list, which makes structural equality equality of
-the dataclass fields.
+Vertices are tuples of :class:`fractions.Fraction`.  Hulls are taken in 3-D
+(lower dimensions padded with zeros) on the points scaled to integers, by
+integer orientation tests, so degenerate inputs (collinear, coplanar,
+repeated points) need no epsilons; each facet is read off its plane as a 2-D
+hull.  A polytope is stored canonically as its lexicographically sorted
+irredundant vertex list, which makes structural equality equality of the
+dataclass fields.
 
 Polytopes form an idempotent semiring: ⊕ is the convex hull of the union,
 ⊙ is the Minkowski sum, with the origin as the ⊙-unit.  Both operations are
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iter_product
+from math import gcd, lcm
 
 __all__ = [
     "Polytope",
@@ -35,12 +37,7 @@ def _to_fraction_point(p, dim: int) -> tuple[Fraction, ...]:
 
 # -- hull machinery ---------------------------------------------------------
 
-def _hull_1d(pts):
-    lo, hi = min(pts), max(pts)
-    return [lo] if lo == hi else [lo, hi]
-
-
-def _cross(o, a, b) -> Fraction:
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -62,111 +59,104 @@ def _hull_2d(pts):
     return lower[:-1] + upper[:-1]
 
 
-def _in_convex_hull(point, points) -> bool:
-    """Exact membership test: is ``point`` a convex combination of ``points``?
-
-    Phase-I simplex with Bland's rule over rationals.  Feasibility of
-    ``Σ λ_j q_j = p, Σ λ_j = 1, λ ≥ 0`` is decided by whether the artificial
-    objective can be driven to zero.
-    """
-    m = len(points)
-    if m == 0:
-        return False
-    d = len(point)
-    rows = d + 1
-    a = [[Fraction(points[j][r]) for j in range(m)] for r in range(d)]
-    a.append([Fraction(1)] * m)
-    b = [Fraction(point[r]) for r in range(d)] + [Fraction(1)]
-    for r in range(rows):
-        if b[r] < 0:
-            a[r] = [-x for x in a[r]]
-            b[r] = -b[r]
-    ncols = m + rows
-    # tableau rows: structural columns, artificial identity, rhs
-    tab = [a[r] + [Fraction(int(i == r)) for i in range(rows)] + [b[r]] for r in range(rows)]
-    basis = list(range(m, m + rows))
-    # phase-I objective row (reduced costs); rhs slot holds -w
-    obj = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols + 1):
-        col_sum = sum(tab[r][j] for r in range(rows))
-        cost = Fraction(1) if m <= j < ncols else Fraction(0)
-        obj[j] = cost - col_sum
-    obj[ncols] = -sum(b)
-
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
-        if enter is None:
-            break
-        ratio = None
-        leave = None
-        for r in range(rows):
-            if tab[r][enter] > 0:
-                cand = tab[r][ncols] / tab[r][enter]
-                if ratio is None or cand < ratio or (cand == ratio and basis[r] < basis[leave]):
-                    ratio = cand
-                    leave = r
-        if leave is None:  # unbounded cannot happen for phase I, but stay safe
-            return False
-        pivot = tab[leave][enter]
-        tab[leave] = [x / pivot for x in tab[leave]]
-        for r in range(rows):
-            if r != leave and tab[r][enter] != 0:
-                factor = tab[r][enter]
-                tab[r] = [x - factor * y for x, y in zip(tab[r], tab[leave])]
-        if obj[enter] != 0:
-            factor = obj[enter]
-            obj = [x - factor * y for x, y in zip(obj, tab[leave])]
-        basis[leave] = enter
-    return -obj[ncols] == 0
+def _plane(a, b, c):
+    """Integer normal ``(b − a) × (c − a)`` and offset of the plane through a, b, c."""
+    u0, u1, u2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    v0, v1, v2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    n = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    return n, n[0] * a[0] + n[1] * a[1] + n[2] * a[2]
 
 
-_PREFILTER_DIRS = [u for u in _iter_product((-1, 0, 1), repeat=3) if u != (0, 0, 0)]
+def _dot(n, q):
+    return n[0] * q[0] + n[1] * q[1] + n[2] * q[2]
+
+
+def _planar_hull(pts, idx, normal):
+    """Indices of the 2-D hull of the points ``idx``, which lie on a plane with ``normal``."""
+    k = max(range(3), key=lambda j: abs(normal[j]))  # dropping it projects injectively
+    flat = [tuple(c for j, c in enumerate(pts[i]) if j != k) + (i,) for i in idx]
+    return [q[2] for q in _hull_2d(flat)]
 
 
 def _hull_3d(pts):
-    """Irredundant vertex set by exact extreme-point filtering.
+    """Exact vertices and facets of a sorted list of distinct 3-D points.
 
-    A point is a vertex iff it is not in the hull of the remaining points.
-    Unique maximizers of a fixed family of integer directions are certainly
-    vertices and skip their membership test.
+    The points, scaled to integers, go into an incremental hull with
+    Quickhull's outside sets (Barber, Dobkin & Huhdanpaa, 1996): q is beyond
+    a triangle with normal n and offset c iff n·q > c.  Each plane's 2-D hull
+    of triangle corners is a facet ``(normal, offset, ring)``: a primitive
+    outer normal, ``normal·x ≤ offset`` on the hull, and the ring in cyclic
+    order.  Returns ``(vertices, facets)``; a flat set has no facets.
     """
-    pts = sorted(pts)
     if len(pts) <= 2:
-        return pts
-    certain: set = set()
-    for u in _PREFILTER_DIRS:
-        best = None
-        winners = 0
-        for p in pts:
-            val = u[0] * p[0] + u[1] * p[1] + u[2] * p[2]
-            if best is None or val > best:
-                best, winner, winners = val, p, 1
-            elif val == best:
-                winners += 1
-        if winners == 1:
-            certain.add(winner)
-    out = []
-    for p in pts:
-        if p in certain:
-            out.append(p)
+        return pts, []
+    scale = lcm(*(c.denominator for p in pts for c in p))
+    P = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts]
+    # the sorted ends are extreme; points far off their line and plane follow
+    a, b = 0, len(P) - 1
+    c = max(range(len(P)), key=lambda i: max(map(abs, _plane(P[a], P[b], P[i])[0])))
+    n, off = _plane(P[a], P[b], P[c])
+    if n == (0, 0, 0):
+        return [pts[a], pts[b]], []
+    d = max(range(len(P)), key=lambda i: abs(_dot(n, P[i]) - off))
+    if _dot(n, P[d]) == off:
+        return [pts[i] for i in _planar_hull(P, range(len(P)), n)], []
+
+    faces = {}  # oriented triangle -> (normal, offset, the points beyond it)
+    edges = {}  # directed edge -> the triangle it bounds
+    stack = []  # triangles that may have points beyond them
+
+    def add_face(tri, cand):
+        """Add ``tri``, give it the points of ``cand`` beyond it, return the rest."""
+        n, off = _plane(*(P[i] for i in tri))
+        beyond, rest = [], []
+        for i in cand:
+            (beyond if _dot(n, P[i]) > off else rest).append(i)
+        faces[tri] = (n, off, beyond)
+        x, y, z = tri
+        edges[x, y] = edges[y, z] = edges[z, x] = tri
+        stack.append(tri)
+        return rest
+
+    cand = [i for i in range(len(P)) if i not in (a, b, c, d)]
+    for x, y, z, w in ((a, b, c, d), (a, b, d, c), (a, c, d, b), (b, c, d, a)):
+        n, off = _plane(P[x], P[y], P[z])
+        cand = add_face((x, y, z) if _dot(n, P[w]) < off else (x, z, y), cand)
+    while stack:
+        tri = stack.pop()
+        if tri not in faces or not faces[tri][2]:
             continue
-        others = [q for q in pts if q != p]
-        if not _in_convex_hull(p, others):
-            out.append(p)
-    return out
+        n, _, beyond = faces[tri]
+        apex = max(beyond, key=lambda i: _dot(n, P[i]))
+        visible, todo, horizon = {tri}, [tri], []
+        while todo:
+            x, y, z = todo.pop()
+            for e in ((x, y), (y, z), (z, x)):
+                other = edges[e[1], e[0]]
+                if other in visible:
+                    continue
+                if _dot(faces[other][0], P[apex]) > faces[other][1]:
+                    visible.add(other)
+                    todo.append(other)
+                else:
+                    horizon.append(e)
+        cand = []
+        for x, y, z in visible:
+            cand += faces.pop((x, y, z))[2]
+            del edges[x, y], edges[y, z], edges[z, x]
+        for x, y in horizon:
+            cand = add_face((x, y, apex), cand)
 
-
-def _extreme_points(points, dim: int):
-    pts = sorted(set(points))
-    if not pts:
-        raise ValueError("a polytope needs at least one point")
-    if dim == 1:
-        return [(c,) for c in _hull_1d([p[0] for p in pts])]
-    if dim == 2:
-        return _hull_2d(pts)
-    if dim == 3:
-        return _hull_3d(pts)
-    raise ValueError("exact hulls are implemented for dimensions 1 to 3")
+    planes = {}
+    for tri, (n, off, _) in faces.items():
+        g = gcd(*n)
+        planes.setdefault((n[0] // g, n[1] // g, n[2] // g, off // g), set()).update(tri)
+    verts, facets = set(), []
+    for (*normal, off), idx in planes.items():
+        ring = [pts[i] for i in _planar_hull(P, idx, normal)]
+        verts.update(ring)
+        facets.append((tuple(normal), Fraction(off, scale), ring))
+    return sorted(verts), facets
 
 
 @dataclass(frozen=True)
@@ -183,8 +173,13 @@ class Polytope:
 
     def __post_init__(self):
         dim = int(self.dim)
-        pts = [_to_fraction_point(p, dim) for p in self.vertices]
-        verts = tuple(sorted(_extreme_points(pts, dim)))
+        # a 1- or 2-D set is hulled in 3-D with zero coordinates
+        pts = sorted({_to_fraction_point(p, dim) + (0,) * (3 - dim) for p in self.vertices})
+        if not pts:
+            raise ValueError("a polytope needs at least one point")
+        if not 1 <= dim <= 3:
+            raise ValueError("exact hulls are implemented for dimensions 1 to 3")
+        verts = tuple(sorted(v[:dim] for v in _hull_3d(pts)[0]))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", verts)
 
