@@ -9,15 +9,12 @@ a ⊙-improving cycle, reported as :class:`~tropkit.errors.DivergenceError`.
 
 The stationary Bellman equation ``X = H ⊙ X ⊕ F`` has the least solution
 ``X = H* ⊙ F``, so computed over ``subtropical(h)``.  Over max-plus and
-min-plus it is reached by monotone iteration from ``X = F``, Jacobi
-(simultaneous) or Gauss-Seidel (in-place, ascending row sweeps over each
-row's stored entries), and detected by exact equality of consecutive iterates;
-iterates that still change after the budget plus one verification pass raise
-:class:`DivergenceError`.  Every ⊕ over many terms is :meth:`Semiring.reduce`.
-
-Single-source shortest paths are the Jacobi iteration of ``X = Wᵀ ⊙ X ⊕ F``
-on a digraph's min-plus adjacency ``W``, carried out as relaxation over the
-stored edges alone: the same iterates, in O(edges) rather than O(n²) a pass.
+min-plus it is reached by one relaxation over the stored entries of ``H``,
+``x ← F ⊕ (⊕ over stored j of H[i, j] ⊙ x[j])``, iterated from ``x = F`` to
+the first exact repeat; iterates that still change after the budget plus one
+verification pass raise :class:`DivergenceError` naming the first node that
+changed.  Single-source shortest paths are this relaxation on ``H = Wᵀ``, a
+digraph's transposed min-plus adjacency, in O(edges) a pass.
 """
 from __future__ import annotations
 
@@ -172,18 +169,40 @@ def kleene_star(a: SemiringMatrix) -> SemiringMatrix:
     return SemiringMatrix(spec.add(d, SemiringMatrix.identity(a.rows, spec).entries), spec)
 
 
-def _fixed_point(step, x: np.ndarray, max_iter: int, failure: str) -> np.ndarray:
+def _fixed_point(step, x: np.ndarray, max_iter: int, failure) -> np.ndarray:
     """Iterate ``x ← step(x)`` to the first exact repeat and return it.
 
     After ``max_iter`` steps one more decides between a late fixed point and
-    divergence, which raises :class:`DivergenceError` with ``failure``.
+    divergence, which raises :class:`DivergenceError` with ``failure(i)``,
+    ``i`` the first row of ``x`` that still changed.
     """
     for _ in range(max_iter + 1):
         nxt = step(x)
         if np.array_equal(nxt, x):
             return x
-        x = nxt
-    raise DivergenceError(failure)
+        x, prev = nxt, x
+    raise DivergenceError(failure(int(np.nonzero(x != prev)[0][0])))
+
+
+def _relax(he: np.ndarray, fe: np.ndarray, spec: Semiring, what: str, nodes) -> np.ndarray:
+    """Least solution of ``X = H ⊙ X ⊕ F`` over max-plus or min-plus by the
+    relaxation ``x ← F ⊕ (⊕ over stored j of H[i, j] ⊙ x[j])``: the stored
+    terms, read off one n-by-n mask, are ⊕-scattered into a copy of ``F``, so
+    a row with none keeps ``F[i]``.  A divergence names ``nodes[i]``."""
+    rows, cols = np.nonzero(he != spec.zero)
+    weights = he[rows, cols][:, None]
+    # flat targets: ufunc.at is several times faster on 1-D operands
+    targets = (rows[:, None] * fe.shape[1] + np.arange(fe.shape[1])).ravel()
+
+    def step(x: np.ndarray) -> np.ndarray:
+        nxt = fe.copy()
+        spec.add_at(nxt.reshape(-1), targets, (weights + x[cols]).reshape(-1))
+        return nxt
+
+    budget = 2 * len(he)
+    return _fixed_point(step, fe.copy(), budget, lambda i: (
+        f"{what} did not stabilize within {budget} passes: an improving cycle "
+        f"reaches node {nodes[i]}, which still changed in the verification pass"))
 
 
 def solve_bellman(
@@ -200,10 +219,11 @@ def solve_bellman(
     f : SemiringMatrix
         Right-hand side with as many rows as ``h``; any number of columns.
     method : str
-        ``"jacobi"`` updates all rows simultaneously; ``"gauss-seidel"``
-        sweeps rows in ascending index order, each row reading the freshest
-        values; both over max-plus and min-plus.  Over ``subtropical(h)``
-        either returns the closed form ``kleene_star(h) ⊙ f``.
+        ``"jacobi"`` or ``"gauss-seidel"``; both names run the same
+        relaxation over the stored entries of ``h`` (max-plus and min-plus),
+        in O(stored·m) memory plus one n-by-n boolean mask.  ⊕ and float
+        ``+`` are monotone, so it reaches the least solution whichever name
+        is given.  Over ``subtropical(h)`` either returns ``kleene_star(h) ⊙ f``.
 
     Raises
     ------
@@ -220,29 +240,7 @@ def solve_bellman(
         raise ValueError(f"unknown method {method!r}")
     if not spec.is_idempotent:
         return mat_mul(kleene_star(h), f)
-    max_iter = 2 * h.rows
-    he = h.entries
-    fe = f.entries
-
-    if method == "jacobi":
-        def step(x: np.ndarray) -> np.ndarray:
-            return spec.add(_product_entries(he, x, spec), fe)
-    else:
-        # Bottom entries of H are ⊕-neutral terms, so each row reads only its
-        # stored ones.  A row with none keeps x[i] = F[i], the starting value.
-        stored = [np.flatnonzero(row != spec.zero) for row in he]
-        rows = [(i, cols, he[i, cols]) for i, cols in enumerate(stored) if cols.size]
-
-        def step(x: np.ndarray) -> np.ndarray:
-            x = x.copy()
-            for i, cols, w in rows:
-                x[i] = spec.add(spec.reduce(w[:, None] + x[cols], 0), fe[i])
-            return x
-
-    x = _fixed_point(
-        step, fe.copy(), max_iter,
-        f"Bellman iteration ({method}) did not stabilize within {max_iter} passes",
-    )
+    x = _relax(h.entries, f.entries, spec, "Bellman iteration", range(h.rows))
     return SemiringMatrix(x, spec)
 
 
@@ -309,15 +307,13 @@ def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float
     """Single-source shortest-path distances on a min-plus adjacency matrix.
 
     Solves ``X = H ⊙ X ⊕ F`` with ``H = Wᵀ`` (row i collects the edges *into*
-    node i) and ``F`` the indicator of the source, by relaxation over the
-    stored (finite) entries of ``W`` only::
+    node i) and ``F`` the indicator of the source, by the relaxation that
+    :func:`solve_bellman` runs over max-plus and min-plus::
 
         x ← F ⊕ min over edges j → i of (x[j] + W[j, i])
 
-    An absent edge adds a +inf term to the Jacobi product ``H ⊙ x``, which
-    never wins its min, so these are the Jacobi iterates of
-    :func:`solve_bellman` bit for bit, with its budget of ``2·n`` passes plus
-    one, in O(edges) per pass instead of O(n²).  ``+inf`` marks unreachable
+    It reads the stored (finite) entries of ``W`` only, in O(edges) a pass,
+    with a budget of ``2·n`` passes plus one.  ``+inf`` marks unreachable
     nodes.
 
     Raises
@@ -325,7 +321,8 @@ def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float
     ValueError
         If ``source`` is not a known node.
     DivergenceError
-        If the graph contains a negative cycle.
+        If a negative cycle is reachable from the source, naming the first
+        node it reaches that still changed in the verification pass.
     """
     if w.spec != minplus():
         raise ValueError("shortest paths expect a min-plus adjacency matrix")
@@ -333,20 +330,7 @@ def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float
         src = nodes.index(source)
     except ValueError:
         raise ValueError(f"unknown source node {source!r}") from None
-    n = len(nodes)
-    tails, heads = np.nonzero(w.entries != np.inf)
-    weights = w.entries[tails, heads]
-    f = np.full(n, np.inf)
+    f = np.full((len(nodes), 1), np.inf)
     f[src] = 0.0
-
-    def step(x: np.ndarray) -> np.ndarray:
-        nxt = f.copy()
-        np.minimum.at(nxt, heads, x[tails] + weights)
-        return nxt
-
-    x = _fixed_point(
-        step, f, 2 * n,
-        f"shortest-path relaxation did not stabilize within {2 * n} passes; "
-        "the graph has a negative cycle",
-    )
-    return [float(v) for v in x]
+    x = _relax(w.entries.T, f, w.spec, "shortest-path relaxation", nodes)
+    return [float(v) for v in x[:, 0]]

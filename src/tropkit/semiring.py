@@ -11,10 +11,12 @@ Three concrete semirings share the carrier conventions of IEEE doubles:
   ``h > 0``.  As ``h → 0`` the smoothed sum collapses onto ``max``; the gap is
   bounded by ``h·log 2`` and is attained at ``a == b``.
 
-:meth:`Semiring.reduce` is the one ⊕ over many terms that the matrix,
-Bellman, grid and Lax–Oleinik code contract with (``max``, ``min``, or
-``h·log Σ exp(v/h)`` in one shifted ``exp`` pass), and :meth:`Semiring.star`
-the scalar closure ``1 ⊕ a ⊕ a⊙a ⊕ ...`` that the Kleene star eliminates with.
+:meth:`Semiring.reduce` is the one ⊕ over many terms that the matrix, grid
+and Lax–Oleinik code contract with (``max``, ``min``, or ``h·log Σ exp(v/h)``
+in one shifted ``exp`` pass), :meth:`Semiring.add_at` its scattered form
+over the stored entries of an idempotent Bellman system, and
+:meth:`Semiring.star` the scalar closure ``1 ⊕ a ⊕ a⊙a ⊕ ...`` that the Kleene
+star eliminates with.
 
 Scalars are plain floats.  The semiring zero ("bottom") is a genuine IEEE
 infinity, so absorption and neutrality mostly fall out of float arithmetic;
@@ -135,6 +137,13 @@ class Semiring:
         if self.variant == "minplus":
             return np.min(values, axis=axis, out=out)
         return _h_logsumexp(values, axis, self.h, out, overwrite)
+
+    def add_at(self, out, index, values) -> None:
+        """``out[index] ⊕= values`` in place, repeated indices accumulating,
+        as ``ufunc.at`` does; max-plus and min-plus only."""
+        if not self.is_idempotent:
+            raise ValueError("scattered ⊕ requires idempotent addition")
+        (np.maximum if self.variant == "maxplus" else np.minimum).at(out, index, values)
 
     def star(self, a: float) -> float:
         """The scalar closure ``a* = 1 ⊕ a ⊕ a⊙a ⊕ ...``: 0 for max-plus

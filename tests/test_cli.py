@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,7 +327,10 @@ def test_divergent_graph_exits_one(tmp_path, capsys):
     neg = tmp_path / "neg.txt"
     neg.write_text("A B 1\nB A -3\n")  # improving cycle
     assert main(["shortest-path", str(neg), "--source", "A"]) == 1
-    assert "stabilize" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "stabilize within 4 passes" in err
+    assert re.search(r"reaches node [AB], which still changed", err)
 
 
 def test_usage_error_exits_two(capsys):

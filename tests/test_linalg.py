@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -237,10 +238,14 @@ def digraphs(draw, weights, max_n=8, plant=False):
     cells = draw(st.lists(st.one_of(st.none(), weights), min_size=n * n, max_size=n * n))
     entries = [cells[i * n:(i + 1) * n] for i in range(n)]
     if plant and draw(st.booleans()):
-        c = draw(st.integers(1, n))
-        for i in range(c):
-            entries[i][(i + 1) % c] = -1.0 if i == 0 else 0.0
+        plant_cycle(entries, list(range(draw(st.integers(1, n)))))
     return n, entries
+
+
+def plant_cycle(entries, cycle):
+    """Edges ``cycle[0] → cycle[1] → … → cycle[0]`` of total weight −1."""
+    for k, i in enumerate(cycle):
+        entries[i][cycle[(k + 1) % len(cycle)]] = -1.0 if k == 0 else 0.0
 
 
 def as_matrix(entries, spec, sign=1.0):
@@ -332,30 +337,70 @@ def test_subtropical_star_is_the_series(graph, h):
 
 
 @st.composite
-def bellman_systems(draw, weights, max_n=10):
-    """``(h_entries, f)``: a system with one row of H that stores nothing."""
+def bellman_systems(draw, weights, max_n=10, idempotent=False):
+    """``(h_entries, f)``: a system with one row of H that stores nothing.
+
+    ``idempotent`` adds a fully stored hub row, a planted improving cycle
+    (a self-loop when it has one node) off the empty row, and bottom
+    (``None``) entries of F, so that the cycle may or may not reach a
+    finite one."""
     n, entries = draw(digraphs(weights, max_n=max_n))
     empty = draw(st.integers(0, n - 1))
     entries[empty] = [None] * n
     m = draw(st.integers(1, 3))
-    f = draw(st.lists(st.lists(st.integers(-5, 5).map(float), min_size=m, max_size=m),
-                      min_size=n, max_size=n))
+    value = st.integers(-5, 5).map(float)
+    if idempotent and n > 1:
+        others = [i for i in range(n) if i != empty]
+        entries[draw(st.sampled_from(others))] = draw(st.lists(weights, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            plant_cycle(entries, draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+    if idempotent:
+        value = st.one_of(st.none(), value)
+    f = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
     return entries, f
 
 
 @pytest.mark.parametrize("spec, sign", IDEMPOTENT)
 @settings(max_examples=100, deadline=None)
-@given(system=bellman_systems(INT_WEIGHTS))
-def test_gauss_seidel_matches_dense_sweeps(spec, sign, system):
+@given(
+    system=st.one_of(
+        *(bellman_systems(w, idempotent=True) for w in (INT_WEIGHTS, st.floats(0.0, 10.0)))
+    ),
+    method=st.sampled_from(["jacobi", "gauss-seidel"]),
+)
+def test_gauss_seidel_matches_dense_sweeps(spec, sign, system, method):
+    # both method names run one relaxation; the float weights are ≥ 0 in
+    # the min-plus sense, so among them only the planted cycle improves
     entries, f = system
-    h = as_matrix(entries, spec, sign)
-    fm = SemiringMatrix([[sign * v for v in row] for row in f], spec)
-    new = outcome(solve_bellman, h, fm, "gauss-seidel")
+    h, fm = as_matrix(entries, spec, sign), as_matrix(f, spec, sign)
+    new = outcome(solve_bellman, h, fm, method)
     old = outcome(dense_gauss_seidel, h, fm)
     if isinstance(old, str):
         assert new == old
     else:
         assert np.array_equal(new, old)
+
+
+def test_bellman_memory_is_the_stored_entries():
+    # 4 stored entries per row plus one fully stored hub row: O(stored·m)
+    # plus one n-by-n boolean mask, never a dense n² float block
+    n = 1500
+    rng = np.random.default_rng(13)
+    entries = np.full((n, n), INF)
+    for i in range(n):
+        entries[i, rng.choice(n, 4, replace=False)] = rng.integers(1, 10, size=4)
+    entries[7] = rng.integers(1, 10, size=n)
+    f = np.full((n, 4), INF)
+    f[rng.choice(n, 4, replace=False), np.arange(4)] = 0.0
+    h, fm = SemiringMatrix(entries, minplus()), SemiringMatrix(f, minplus())
+    for method in ("jacobi", "gauss-seidel"):
+        tracemalloc.start()
+        try:
+            solve_bellman(h, fm, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n + 2**20, (method, peak)
 
 
 # n = 6, weights in [−6, −3], ρ(e^{H}) = 0.090: a series still moving in its
@@ -532,9 +577,10 @@ def test_bellman_star_consistency():
 
 def test_bellman_divergence():
     mn = minplus()
-    h = SemiringMatrix([[-1.0]], mn)  # improving self-loop
-    f = SemiringMatrix([[0.0]], mn)
-    with pytest.raises(DivergenceError):
+    # an improving self-loop at 1, which feeds 2: both still change, 1 first
+    h = SemiringMatrix([[INF, INF, INF], [INF, -1.0, INF], [INF, 0.0, INF]], mn)
+    f = SemiringMatrix([[0.0], [0.0], [0.0]], mn)
+    with pytest.raises(DivergenceError, match=r"within 6 passes: .* reaches node 1, "):
         solve_bellman(h, f)
 
 
@@ -606,6 +652,21 @@ def improves(edges, dist):
     return any(dist[u] + w < dist[v] for u, v, w in edges)
 
 
+def doomed(edges, dist):
+    """Nodes at distance −∞: those a still-improving edge's head reaches."""
+    out = {v for u, v, w in edges if dist[u] + w < dist[v]}
+    while True:
+        more = out | {v for u, v, _ in edges if u in out}
+        if more == out:
+            return out
+        out = more
+
+
+def named_node(exc):
+    """The node a divergence message says a cycle reaches."""
+    return re.search(r"reaches node (\S+), which still changed", str(exc)).group(1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(graph=st.one_of(edge_lists(INT_WEIGHTS), edge_lists(st.floats(0.0, 10.0))))
 def test_shortest_paths_match_bellman_ford(graph):
@@ -618,6 +679,7 @@ def test_shortest_paths_match_bellman_ford(graph):
     except DivergenceError as exc:
         assert "stabilize" in str(exc)
         assert improves(edges, ref)
+        assert int(named_node(exc)[1:]) in doomed(edges, ref)
         return
     assert not improves(edges, ref)
     # nodes missing from the edge list are unreachable in the reference
@@ -625,11 +687,13 @@ def test_shortest_paths_match_bellman_ford(graph):
 
 
 def test_planted_negative_cycle_raises():
-    nodes, w = parse_edge_list(io.StringIO("s a 2\na b 1\nb c -3\nc a 1\nc t 4\n"))
-    with pytest.raises(DivergenceError, match="stabilize"):
+    nodes, w = parse_edge_list(io.StringIO("s a 2\na b 1\nb c -3\nc a 1\nc t 4\ns u 7\n"))
+    with pytest.raises(DivergenceError, match=r"stabilize within 12 passes") as err:
         shortest_path_distances(nodes, w, "s")
+    # named by its edge-list name, and reached from the cycle a → b → c → a
+    assert named_node(err.value) in {"a", "b", "c", "t"}
     # unreachable from t, the cycle does no harm
-    assert shortest_path_distances(nodes, w, "t") == [INF, INF, INF, INF, 0.0]
+    assert shortest_path_distances(nodes, w, "t") == [INF, INF, INF, INF, 0.0, INF]
 
 
 def test_unknown_source_raises():

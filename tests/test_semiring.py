@@ -49,6 +49,13 @@ def test_minplus_examples():
     assert mn.mul(7.0, math.inf) == math.inf
 
 
+def test_add_at_accumulates_repeated_indices():
+    for spec, best in ((maxplus(), 5.0), (minplus(), -1.0)):
+        out = np.array([0.0, spec.zero, 2.0])
+        spec.add_at(out, [1, 1, 1], [5.0, -1.0, 3.0])
+        assert out.tolist() == [0.0, best, 2.0]
+
+
 def test_order_examples():
     mp, mn = maxplus(), minplus()
     assert mp.leq(2.0, 5.0) and not mp.leq(5.0, 2.0)
@@ -80,6 +87,8 @@ def test_subtropical_spec_object():
     assert s.mul(3.0, 5.0) == 8.0
     with pytest.raises(ValueError):
         s.leq(1.0, 2.0)  # no canonical order without idempotency
+    with pytest.raises(ValueError):
+        s.add_at(np.zeros(2), [0, 0], [1.0, 1.0])  # ⊕_h is not a ufunc
 
 
 def test_dual_swaps_max_and_min():
