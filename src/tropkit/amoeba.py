@@ -11,24 +11,26 @@ done in both coordinate directions so that tentacles of every orientation
 are resolved.
 
 The tropical counterpart is the corner locus of ``max_a (v_a + ⟨a, x⟩)``: a
-planar piecewise-linear set of vertices, edges and rays computed from
-pairwise tie lines intersected with dominance regions.  Deforming
-coefficients by ``c ↦ (c/|c|)·|c|^{1/h}`` makes the ``Log_h``-amoeba of the
-deformed polynomial collapse onto that corner locus as ``h → 0``; the
-distance between the two is measured in the Hausdorff metric after clipping
-both to a viewing window.
+planar piecewise-linear set of vertices, edges and rays, read exactly off the
+upper facets of the lifted Newton polygon (the regular subdivision it is dual
+to).  Deforming coefficients by ``c ↦ (c/|c|)·|c|^{1/h}`` makes the
+``Log_h``-amoeba of the deformed polynomial collapse onto that corner locus as
+``h → 0``; the distance between the two is measured in the Hausdorff metric
+after clipping both to a viewing window.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .dequantize import SparsePolynomial
 from .errors import ScaleRangeError
+from .polytope import _hull_3d
 
 __all__ = [
     "Window",
@@ -346,86 +348,51 @@ class PlanarPLSet:
         )
 
 
-def _primitive(d: np.ndarray) -> tuple[int, int]:
-    a, b = int(round(d[0])), int(round(d[1]))
-    g = math.gcd(abs(a), abs(b))
-    return (a // g, b // g)
-
-
 def tropical_variety(tf: TropicalPolynomial) -> PlanarPLSet:
-    """Corner locus of a planar tropical polynomial.
+    """Corner locus of a planar tropical polynomial, read off one exact hull.
 
-    For every pair of terms the tie line is intersected with the region where
-    the pair dominates all other terms; bounded pieces become edges, primal
-    unbounded pieces rays.  Vertices within 1e-9 (scaled) snap together.
-    A polynomial with fewer than two terms has no corner locus.
+    The locus is dual to the regular subdivision of the Newton polygon lifted
+    exactly by ``a ↦ (a, v_a)`` (Maclagan & Sturmfels, §3.1), made solid by a
+    floor copy ``(a, min v − 1)`` of each term.  Each upper facet (normal n)
+    is a vertex ``(n₁/n₃, n₂/n₃)``, rounded once, correctly; an edge it shares
+    with an upper facet is a bounded edge, with a vertical one a ray along
+    that facet's ``(n₁, n₂)``.  A collinear support ties upper-chain
+    neighbours along lines, two opposite rays from the point nearest 0.
+    Vertices are listed in exact sorted order.
     """
     if tf.dim != 2:
         raise ValueError("corner locus is implemented for the plane")
-    terms = tf.terms
-    if len(terms) < 2:
+    if len(tf.terms) < 2:
         raise ValueError("corner locus needs at least two terms")
-    exps = np.array([e for e, _ in terms], dtype=float)
-    vals = np.array([v for _, v in terms])
-    m = len(terms)
-    tol = 1e-9 * (1.0 + float(np.abs(vals).max()))
-
-    vertices: list[np.ndarray] = []
-    edges: set[tuple[int, int]] = set()
-    rays: set[tuple[int, tuple[int, int]]] = set()
-
-    def vertex_index(p: np.ndarray) -> int:
-        for i, q in enumerate(vertices):
-            if abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol:
-                return i
-        vertices.append(p.copy())
-        return len(vertices) - 1
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            dv = exps[i] - exps[j]
-            denom = float(dv @ dv)
-            p0 = dv * (vals[j] - vals[i]) / denom
-            d = np.array([-dv[1], dv[0]])
-            t_lo, t_hi = -math.inf, math.inf
-            empty = False
-            for k in range(m):
-                if k in (i, j):
-                    continue
-                grow = float((exps[i] - exps[k]) @ d)  # integer-valued, exact
-                const = vals[i] - vals[k] + float((exps[i] - exps[k]) @ p0)
-                if grow == 0.0:
-                    if const < -tol:
-                        empty = True
-                        break
-                elif grow > 0.0:
-                    t_lo = max(t_lo, -const / grow)
-                else:
-                    t_hi = min(t_hi, -const / grow)
-            if empty or t_lo > t_hi + tol:
-                continue
-            prim = _primitive(d)
-            if t_lo == -math.inf and t_hi == math.inf:
-                base = vertex_index(p0)
-                rays.add((base, prim))
-                rays.add((base, (-prim[0], -prim[1])))
-            elif t_lo == -math.inf:
-                base = vertex_index(p0 + t_hi * d)
-                rays.add((base, (-prim[0], -prim[1])))
-            elif t_hi == math.inf:
-                base = vertex_index(p0 + t_lo * d)
-                rays.add((base, prim))
-            else:
-                ia = vertex_index(p0 + t_lo * d)
-                ib = vertex_index(p0 + t_hi * d)
-                if ia != ib:
-                    edges.add((min(ia, ib), max(ia, ib)))
-
-    return PlanarPLSet(
-        [(float(p[0]), float(p[1])) for p in vertices],
-        sorted(edges),
-        sorted(rays),
-    )
+    floor = Fraction(min(v for _, v in tf.terms)) - 1
+    pts = sorted([(*a, Fraction(v)) for a, v in tf.terms] + [(*a, floor) for a, _ in tf.terms])
+    hull, facets = _hull_3d(pts)
+    corner = {n: (Fraction(n[0], n[2]), Fraction(n[1], n[2])) for n, _, _ in facets if n[2] > 0}
+    ties = {corner[n]: ring for n, _, ring in facets if n in corner}  # vertex -> tied terms
+    sides = {}  # undirected ring edge -> the normals of its two facets
+    for n, _, ring in facets:
+        for p, q in zip(ring, ring[1:] + ring[:1]):
+            sides.setdefault(frozenset((p, q)), []).append(n)
+    pairs = [sorted(pair, key=lambda n: -n[2]) for pair in sides.values()]
+    edges = [(corner[n], corner[m]) for n, m in pairs if m in corner]
+    rays = [(corner[n], m[:2]) for n, m in pairs if n in corner and m[2] == 0]
+    if not facets:  # a collinear support: tie lines of upper-chain neighbours
+        chain = sorted(p for p in hull if p[2] != floor)
+        for p, q in zip(chain, chain[1:]):
+            d1, d2 = q[0] - p[0], q[1] - p[1]
+            t, g = (p[2] - q[2]) / (d1 * d1 + d2 * d2), math.gcd(d1, d2)
+            ties[t * d1, t * d2] = [p, q]
+            rays += [((t * d1, t * d2), (-s * d2 // g, s * d1 // g)) for s in (1, -1)]
+    index = {v: i for i, v in enumerate(sorted(ties))}
+    vertices = []
+    for x, y in index:
+        try:
+            vertices.append((float(x), float(y)))
+        except OverflowError:
+            tied = ", ".join(str(p[:2]) for p in sorted(ties[x, y]))
+            raise ScaleRangeError(f"the vertex where terms {tied} tie overflows") from None
+    edges = sorted(tuple(sorted((index[u], index[w]))) for u, w in edges)
+    return PlanarPLSet(vertices, edges, sorted((index[v], d) for v, d in rays))
 
 
 # -- Hausdorff distance ------------------------------------------------------

@@ -132,23 +132,20 @@ def _parse_scenario(path) -> tuple[hamilton_jacobi.MechanicalSystem, semiring.Se
         raise InputFormatError(str(exc), path=str(path)) from None
 
 
-def _read_tropical_poly(path) -> amoeba.TropicalPolynomial:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno
-            ) from None
+def _load_json(path):
     try:
-        terms = [
-            (tuple(int(e) for e in t["exp"]), float(t["coeff"])) for t in obj["terms"]
-        ]
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None
+
+
+def _read_tropical_poly(path) -> amoeba.TropicalPolynomial:
+    obj = _load_json(path)
+    try:
+        terms = [(tuple(int(e) for e in t["exp"]), float(t["coeff"])) for t in obj["terms"]]
         return amoeba.TropicalPolynomial(int(obj["dim"]), tuple(terms))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(
-            f"malformed tropical polynomial JSON: {exc}", path=str(path)
-        ) from None
+        raise InputFormatError(f"malformed tropical polynomial JSON: {exc}", path=str(path)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +352,14 @@ def cmd_minkowski(args) -> int:
     _require(args, "poly_p", "poly_q")
     from .polytope import minkowski_add, minkowski_mul, polytope_from_json
 
-    with open(args.poly_p, "r", encoding="utf-8") as fh:
-        p = polytope_from_json(json.load(fh))
-    with open(args.poly_q, "r", encoding="utf-8") as fh:
-        q = polytope_from_json(json.load(fh))
-    out = minkowski_mul(p, q) if args.op == "mul" else minkowski_add(p, q)
+    operands = []
+    for path in (args.poly_p, args.poly_q):
+        obj = _load_json(path)
+        try:
+            operands.append(polytope_from_json(obj))
+        except ValueError as exc:
+            raise InputFormatError(str(exc), path=str(path)) from None
+    out = (minkowski_mul if args.op == "mul" else minkowski_add)(*operands)
     _emit(args, _polytope_json_text(out))
     return 0
 
@@ -661,7 +661,7 @@ def _selftest_tropical_curve():
     return [
         ("two balanced terms give a full tie line", len(pl.vertices) == 1 and len(pl.edges) == 0),
         ("the line splits into two opposite rays", dirs == [(0, -1), (0, 1)]),
-        ("tie line of x vs 1 is vertical through 0", abs(pl.vertices[0][0]) < 1e-12),
+        ("tie line of x vs 1 is vertical through 0", pl.vertices[0][0] == 0.0),
     ]
 
 

@@ -87,6 +87,7 @@ def _hull_3d(pts):
     of triangle corners is a facet ``(normal, offset, ring)``: a primitive
     outer normal, ``normal·x ≤ offset`` on the hull, and the ring in cyclic
     order.  Returns ``(vertices, facets)``; a flat set has no facets.
+    ``amoeba.tropical_variety`` reads a tropical curve off these facets.
     """
     if len(pts) <= 2:
         return pts, []

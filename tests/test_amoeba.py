@@ -1,10 +1,12 @@
 import cmath
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropkit import (
@@ -329,31 +331,123 @@ def test_translation_moves_the_vertex():
     assert sorted(d for _, d in pl.rays) == [(-1, 0), (0, -1), (1, 1)]
 
 
-def test_conic_structure_and_balancing():
-    conic = TropicalPolynomial(
-        2, (((0, 0), 0.0), ((1, 0), 0.0), ((0, 1), 0.0), ((1, 1), -1.0))
-    )
-    pl = tropical_variety(conic)
-    verts = sorted(pl.vertices)
-    assert len(verts) == 2
-    assert verts[0] == pytest.approx((0.0, 0.0), abs=1e-12)
-    assert verts[1] == pytest.approx((1.0, 1.0), abs=1e-12)
-    assert len(pl.edges) == 1  # the bounded segment joining them
-    assert len(pl.rays) == 4
+CELLS = st.tuples(st.integers(0, 5), st.integers(0, 5))
+DYADIC = st.integers(-12, 12).map(lambda k: k / 4)
 
-    # balancing: primitive directions out of each vertex sum to zero
-    for vi, v in enumerate(pl.vertices):
-        total = np.zeros(2)
-        for a, b in pl.edges:
-            if a == vi or b == vi:
-                other = pl.vertices[b if a == vi else a]
-                d = np.array(other) - np.array(v)
-                g = math.gcd(int(round(d[0])), int(round(d[1])))
-                total += d / max(g, 1)
-        for base, d in pl.rays:
-            if base == vi:
-                total += np.array(d, dtype=float)
-        assert np.allclose(total, 0.0, atol=1e-9)
+
+@st.composite
+def planar_tropical_polynomials(draw):
+    """Supports in {0..5}² with dyadic values: general, collinear or coplanar."""
+    kind = draw(st.sampled_from(["general", "collinear", "coplanar"]))
+    if kind == "collinear":
+        d = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]))
+        b = draw(CELLS)
+        line = [k for k in range(-5, 6) if 0 <= b[0] + k * d[0] <= 5 and 0 <= b[1] + k * d[1] <= 5]
+        assume(len(line) >= 2)
+        ks = draw(st.sets(st.sampled_from(line), min_size=2))
+        support = [(b[0] + k * d[0], b[1] + k * d[1]) for k in ks]
+    else:
+        support = sorted(draw(st.sets(CELLS, min_size=2, max_size=12)))
+    if kind == "coplanar":  # one affine function, with a few terms pushed below it
+        c0, c1, c2 = draw(DYADIC), draw(DYADIC), draw(DYADIC)
+        drops = st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0])
+        terms = [(a, c0 + c1 * a[0] + c2 * a[1] - draw(drops)) for a in support]
+    else:
+        terms = [(a, draw(DYADIC)) for a in support]
+    return TropicalPolynomial(2, tuple(terms))
+
+
+def tied_terms(tf, x, y):
+    """Exponents attaining the max at the exact point (x, y), sorted.
+
+    With dyadic values and exponents in {0..5}, untied terms differ by far
+    more than 1e-9 at a vertex, and rounding a vertex moves them by ~1e-15.
+    """
+    vals = [(Fraction(v) + a[0] * x + a[1] * y, a) for a, v in tf.terms]
+    top = max(val for val, _ in vals)
+    return sorted(a for val, a in vals if top - val <= Fraction(1, 10**9))
+
+
+def exact_tie_point(tf, tied):
+    """The point where the tied terms tie: unique, or the nearest to 0 on their line."""
+    value = dict(tf.terms)
+    p = tied[0]
+    rows = [(a[0] - p[0], a[1] - p[1], Fraction(value[p]) - Fraction(value[a])) for a in tied[1:]]
+    for (d1, d2, r), (e1, e2, s) in itertools.combinations(rows, 2):
+        det = d1 * e2 - d2 * e1
+        if det:
+            return ((r * e2 - s * d2) / det, (d1 * s - e1 * r) / det)
+    d1, d2, r = rows[0]
+    return (r * d1 / (d1 * d1 + d2 * d2), r * d2 / (d1 * d1 + d2 * d2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planar_tropical_polynomials())
+def test_conic_structure_and_balancing(tf):
+    pl = tropical_variety(tf)
+    assert pl.vertices == sorted(pl.vertices)
+    for vi, (x, y) in enumerate(pl.vertices):
+        # (a) the vertex is the correctly rounded tie point of the terms tied there
+        tied = tied_terms(tf, Fraction(x), Fraction(y))
+        assert len(tied) >= 2
+        tx, ty = exact_tie_point(tf, tied)
+        assert (x, y) == (float(tx), float(ty))
+        # (b) weighted balancing, each piece weighted by the lattice length of
+        # the segment the terms tied on it span; (c) at least two terms tie
+        pieces = [
+            (pl.vertices[b if a == vi else a], None) for a, b in pl.edges if vi in (a, b)
+        ] + [((x + d[0], y + d[1]), d) for base, d in pl.rays if base == vi]
+        assert pieces
+        total = [0, 0]
+        for (ox, oy), ray in pieces:
+            if ray is None:  # probe a bounded edge at its midpoint
+                px, py = (Fraction(x) + Fraction(ox)) / 2, (Fraction(y) + Fraction(oy)) / 2
+            else:
+                px, py = Fraction(x) + ray[0], Fraction(y) + ray[1]
+            on = tied_terms(tf, px, py)
+            assert len(on) >= 2
+            (p1, p2), (q1, q2) = on[0], on[-1]
+            assert all((a1 - p1) * (q2 - p2) == (a2 - p2) * (q1 - p1) for a1, a2 in on)
+            w = (p2 - q2, q1 - p1)  # weight × primitive normal of the dual segment
+            dx, dy = ox - x, oy - y
+            assert abs(w[0] * dy - w[1] * dx) <= 1e-9 * math.hypot(dx, dy) * math.hypot(*w)
+            sign = 1 if w[0] * dx + w[1] * dy > 0 else -1
+            if ray is not None:
+                lattice = math.gcd(q1 - p1, q2 - p2)
+                assert (sign * w[0], sign * w[1]) == (lattice * ray[0], lattice * ray[1])
+            total = [total[0] + sign * w[0], total[1] + sign * w[1]]
+        assert total == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "terms, vertices, edges, rays",
+    [
+        (  # the conic max(0, x, y, x + y − 1)
+            (((0, 0), 0.0), ((1, 0), 0.0), ((0, 1), 0.0), ((1, 1), -1.0)),
+            [(0.0, 0.0), (1.0, 1.0)], [(0, 1)],
+            [(0, (-1, 0)), (0, (0, -1)), (1, (0, 1)), (1, (1, 0))],
+        ),
+        (  # vertices 2⁻⁴⁰ apart stay apart: no snapping
+            (((0, 0), 0.0), ((1, 0), 0.0), ((0, 1), 0.0), ((1, 1), -(2.0**-40))),
+            [(0.0, 0.0), (2.0**-40, 2.0**-40)], [(0, 1)],
+            [(0, (-1, 0)), (0, (0, -1)), (1, (0, 1)), (1, (1, 0))],
+        ),
+        (  # collinear support: (1, 1) is dominated, so only upper-chain pairs tie
+            (((0, 0), 0.0), ((1, 1), -1.0), ((2, 2), 0.0), ((3, 3), -1.0)),
+            [(0.0, 0.0), (0.5, 0.5)], [],
+            [(0, (-1, 1)), (0, (1, -1)), (1, (-1, 1)), (1, (1, -1))],
+        ),
+        (  # the all-zero 3 × 3 grid: the two axes through one vertex
+            tuple(((i, j), 0.0) for i in range(3) for j in range(3)),
+            [(0.0, 0.0)], [],
+            [(0, (-1, 0)), (0, (0, -1)), (0, (0, 1)), (0, (1, 0))],
+        ),
+    ],
+    ids=["conic", "near-tie-conic", "collinear-dominated", "zero-grid"],
+)
+def test_corner_locus_regressions(terms, vertices, edges, rays):
+    pl = tropical_variety(TropicalPolynomial(2, terms))
+    assert (pl.vertices, pl.edges, pl.rays) == (vertices, edges, rays)
 
 
 def test_variety_needs_two_terms():

@@ -207,6 +207,21 @@ def test_minkowski_command(tmp_path, capsys):
     assert sorted(map(tuple, obj["vertices"])) == [(0, 0), (0, 1), (2, 0)]
 
 
+@pytest.mark.parametrize("operand", [0, 1])
+@pytest.mark.parametrize("text", ["{not json", '{"dim": 2, "vertices": [["x", 0]]}'])
+def test_minkowski_malformed_operand_exits_two(tmp_path, capsys, operand, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = [str(good), str(good)]
+    paths[operand] = str(bad)
+    assert main(["minkowski", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad.json" in captured.err
+
+
 def test_fractal_generator(capsys):
     assert main(["fractal-dim", "--generator", "cantor 9", "--scales", "1,2,3,4,5,6,7"]) == 0
     out = capsys.readouterr().out
@@ -279,6 +294,19 @@ def test_tropical_curve_bad_json(tmp_path, capsys):
     tp = tmp_path / "broken.json"
     tp.write_text("{not json")
     assert main(["tropical-curve", str(tp)]) == 2
+
+
+def test_tropical_curve_vertex_beyond_double_range(tmp_path, capsys):
+    tp = tmp_path / "trop.json"
+    tp.write_text(json.dumps({"dim": 2, "terms": [
+        {"exp": [0, 0], "coeff": 1e308},
+        {"exp": [1, 0], "coeff": -1e308},
+        {"exp": [0, 1], "coeff": 0},
+    ]}))
+    assert main(["tropical-curve", str(tp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(0, 0), (0, 1), (1, 0)" in captured.err
 
 
 def test_converge_command(poly_file, capsys):
