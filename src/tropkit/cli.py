@@ -23,6 +23,7 @@ import numpy as np
 
 from . import analysis, amoeba, dequantize, fractal, hamilton_jacobi, linalg, semiring
 from .errors import DivergenceError, DomainTooSmallError, InputFormatError, ScaleRangeError
+from .errors import _load_json
 
 __all__ = ["main"]
 
@@ -132,13 +133,6 @@ def _parse_scenario(path) -> tuple[hamilton_jacobi.MechanicalSystem, semiring.Se
         raise InputFormatError(str(exc), path=str(path)) from None
 
 
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None
-
-
 def _read_tropical_poly(path) -> amoeba.TropicalPolynomial:
     obj = _load_json(path)
     try:
@@ -242,8 +236,8 @@ def cmd_shortest_path(args) -> int:
     if args.selftest:
         return _run_selftest("shortest-path", _selftest_shortest_path)
     _require(args, "graph", "source")
-    nodes, w = linalg.read_edge_list(args.graph)
-    dist = linalg.shortest_path_distances(nodes, w, args.source)
+    nodes, edges = linalg.read_edge_list(args.graph)
+    dist = linalg.shortest_path_distances(nodes, edges, args.source)
     lines = ["node,distance"]
     lines.extend(f"{n},{_fmt(d)}" for n, d in zip(nodes, dist))
     _emit(args, "\n".join(lines) + "\n")

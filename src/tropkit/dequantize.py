@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, _load_json
 from .polytope import Polytope, convex_hull
 
 __all__ = [
@@ -155,14 +155,7 @@ def poly_from_json(obj: dict, path: str | None = None) -> SparsePolynomial:
 
 
 def read_poly_json(path) -> SparsePolynomial:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno
-            ) from None
-    return poly_from_json(obj, path=str(path))
+    return poly_from_json(_load_json(path), path=str(path))
 
 
 def write_poly_json(f: SparsePolynomial, path) -> None:

@@ -1,10 +1,13 @@
-"""Shared exception types.
+"""Shared exception types, and the JSON file reader that raises one.
 
 Everything here derives from a built-in exception so that callers who do not
 care about the fine distinctions can still catch ``ValueError`` /
 ``RuntimeError`` as usual.
 """
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 __all__ = [
     "DivergenceError",
@@ -57,3 +60,12 @@ class InputFormatError(ValueError):
         if where:
             message = f"{where} {message}"
         super().__init__(message)
+
+
+def _load_json(path):
+    """The decoded JSON file at ``path``; a syntax error raises
+    :class:`InputFormatError` with its 1-based line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None

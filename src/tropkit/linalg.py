@@ -1,4 +1,4 @@
-"""Dense matrices over tropical semirings: Kleene star and Bellman solvers.
+"""Matrices over tropical semirings: Kleene star, Bellman solvers, shortest paths.
 
 Matrix addition and multiplication are the semiring lifts of ⊕ and ⊙; over
 min-plus, ``mat_mul`` is the classical (min, +) product whose powers encode
@@ -13,8 +13,9 @@ min-plus it is reached by one relaxation over the stored entries of ``H``,
 ``x ← F ⊕ (⊕ over stored j of H[i, j] ⊙ x[j])``, iterated from ``x = F`` to
 the first exact repeat; iterates that still change after the budget plus one
 verification pass raise :class:`DivergenceError` naming the first node that
-changed.  Single-source shortest paths are this relaxation on ``H = Wᵀ``, a
-digraph's transposed min-plus adjacency, in O(edges) a pass.
+changed.  A digraph's edge list is the stored entries of ``H = Wᵀ``, its
+transposed min-plus adjacency, so single-source shortest paths run on the
+parsed edges in O(edges) time a pass and O(edges) memory.
 """
 from __future__ import annotations
 
@@ -53,7 +54,10 @@ class SemiringMatrix:
     __slots__ = ("entries", "spec")
 
     def __init__(self, entries, spec: Semiring):
-        arr = np.array(entries, dtype=float, order="C")
+        # .view(float) sets the canonical float64 descriptor, without a copy: an
+        # unpickled array's is equal but a distinct object, which makes ufunc.at
+        # (the Bellman relaxation's scatter) many times slower.
+        arr = np.array(entries, dtype=float, order="C").view(float)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError("matrix entries must form a non-empty 2-D array")
         spec.validate(arr)
@@ -169,40 +173,29 @@ def kleene_star(a: SemiringMatrix) -> SemiringMatrix:
     return SemiringMatrix(spec.add(d, SemiringMatrix.identity(a.rows, spec).entries), spec)
 
 
-def _fixed_point(step, x: np.ndarray, max_iter: int, failure) -> np.ndarray:
-    """Iterate ``x ← step(x)`` to the first exact repeat and return it.
-
-    After ``max_iter`` steps one more decides between a late fixed point and
-    divergence, which raises :class:`DivergenceError` with ``failure(i)``,
-    ``i`` the first row of ``x`` that still changed.
-    """
-    for _ in range(max_iter + 1):
-        nxt = step(x)
+def _relax(rows, cols, weights, fe: np.ndarray, spec: Semiring, what: str, nodes) -> np.ndarray:
+    """Least solution of ``X = H ⊙ X ⊕ F`` over max-plus or min-plus by the
+    relaxation ``x ← F ⊕ (⊕ over stored j of H[i, j] ⊙ x[j])``, ``H`` given by
+    its stored entries ``H[rows[e], cols[e]] = weights[e]`` (repeats combine
+    by ⊕): the terms are ⊕-scattered into a copy of ``F``, so a row with none
+    keeps ``F[i]``.  It iterates from ``x = F`` to the first exact repeat;
+    after ``2·n`` passes one more decides between a late fixed point and
+    divergence, which names ``nodes[i]``, ``i`` the first row still changing."""
+    weights = weights[:, None]
+    # flat targets: ufunc.at is several times faster on 1-D operands
+    targets = (rows[:, None] * fe.shape[1] + np.arange(fe.shape[1])).ravel()
+    budget = 2 * len(fe)
+    x = fe
+    for _ in range(budget + 1):
+        nxt = fe.copy()
+        spec.add_at(nxt.reshape(-1), targets, (weights + x[cols]).reshape(-1))
         if np.array_equal(nxt, x):
             return x
         x, prev = nxt, x
-    raise DivergenceError(failure(int(np.nonzero(x != prev)[0][0])))
-
-
-def _relax(he: np.ndarray, fe: np.ndarray, spec: Semiring, what: str, nodes) -> np.ndarray:
-    """Least solution of ``X = H ⊙ X ⊕ F`` over max-plus or min-plus by the
-    relaxation ``x ← F ⊕ (⊕ over stored j of H[i, j] ⊙ x[j])``: the stored
-    terms, read off one n-by-n mask, are ⊕-scattered into a copy of ``F``, so
-    a row with none keeps ``F[i]``.  A divergence names ``nodes[i]``."""
-    rows, cols = np.nonzero(he != spec.zero)
-    weights = he[rows, cols][:, None]
-    # flat targets: ufunc.at is several times faster on 1-D operands
-    targets = (rows[:, None] * fe.shape[1] + np.arange(fe.shape[1])).ravel()
-
-    def step(x: np.ndarray) -> np.ndarray:
-        nxt = fe.copy()
-        spec.add_at(nxt.reshape(-1), targets, (weights + x[cols]).reshape(-1))
-        return nxt
-
-    budget = 2 * len(he)
-    return _fixed_point(step, fe.copy(), budget, lambda i: (
+    i = int(np.nonzero(x != prev)[0][0])
+    raise DivergenceError(
         f"{what} did not stabilize within {budget} passes: an improving cycle "
-        f"reaches node {nodes[i]}, which still changed in the verification pass"))
+        f"reaches node {nodes[i]}, which still changed in the verification pass")
 
 
 def solve_bellman(
@@ -221,9 +214,10 @@ def solve_bellman(
     method : str
         ``"jacobi"`` or ``"gauss-seidel"``; both names run the same
         relaxation over the stored entries of ``h`` (max-plus and min-plus),
-        in O(stored·m) memory plus one n-by-n boolean mask.  ⊕ and float
-        ``+`` are monotone, so it reaches the least solution whichever name
-        is given.  Over ``subtropical(h)`` either returns ``kleene_star(h) ⊙ f``.
+        in O(stored·m) memory plus the one n-by-n boolean mask they are read
+        off.  ⊕ and float ``+`` are monotone, so it reaches the least solution
+        whichever name is given.  Over ``subtropical(h)`` either returns
+        ``kleene_star(h) ⊙ f``.
 
     Raises
     ------
@@ -240,22 +234,25 @@ def solve_bellman(
         raise ValueError(f"unknown method {method!r}")
     if not spec.is_idempotent:
         return mat_mul(kleene_star(h), f)
-    x = _relax(h.entries, f.entries, spec, "Bellman iteration", range(h.rows))
+    rows, cols = np.nonzero(h.entries != spec.zero)
+    x = _relax(rows, cols, h.entries[rows, cols], f.entries, spec,
+               "Bellman iteration", range(h.rows))
     return SemiringMatrix(x, spec)
 
 
 # ---------------------------------------------------------------------------
-# weighted digraphs as min-plus matrices
+# weighted digraphs: the edge list is the stored form of a min-plus matrix
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(lines, path: str | None = None):
-    """Parse ``src dst weight`` lines into a min-plus adjacency matrix.
+    """Parse ``src dst weight`` lines into a digraph's stored min-plus entries.
 
     Node names are arbitrary whitespace-free tokens, numbered in order of
     first appearance.  Blank lines and lines starting with ``#`` are skipped.
-    Parallel edges combine by ⊕ (the smaller weight wins).  Returns
-    ``(nodes, w)`` where ``w[i, j]`` is the weight of the lightest edge
-    ``nodes[i] → nodes[j]`` and +inf marks an absent edge.
+    Returns ``(nodes, (tails, heads, weights))``: three numpy arrays in file
+    order, edge e running ``nodes[tails[e]] → nodes[heads[e]]`` with weight
+    ``weights[e]`` as written.  Parallel edges are all kept; ⊕ is idempotent,
+    so the lightest decides every distance.  Memory is O(edges).
 
     Raises
     ------
@@ -291,10 +288,7 @@ def parse_edge_list(lines, path: str | None = None):
         weights.append(weight)
     if not order:
         raise InputFormatError("edge list contains no edges", path=path)
-    nodes = list(order)
-    w = np.full((len(nodes), len(nodes)), np.inf)
-    np.minimum.at(w, (tails, heads), weights)
-    return nodes, SemiringMatrix(w, minplus())
+    return list(order), (np.array(tails), np.array(heads), np.array(weights))
 
 
 def read_edge_list(path):
@@ -303,8 +297,8 @@ def read_edge_list(path):
         return parse_edge_list(fh, path=str(path))
 
 
-def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float]:
-    """Single-source shortest-path distances on a min-plus adjacency matrix.
+def shortest_path_distances(nodes, edges, source: str) -> list[float]:
+    """Single-source shortest-path distances over a parsed edge list.
 
     Solves ``X = H ⊙ X ⊕ F`` with ``H = Wᵀ`` (row i collects the edges *into*
     node i) and ``F`` the indicator of the source, by the relaxation that
@@ -312,9 +306,10 @@ def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float
 
         x ← F ⊕ min over edges j → i of (x[j] + W[j, i])
 
-    It reads the stored (finite) entries of ``W`` only, in O(edges) a pass,
-    with a budget of ``2·n`` passes plus one.  ``+inf`` marks unreachable
-    nodes.
+    ``edges`` is ``(tails, heads, weights)`` from :func:`parse_edge_list`, so
+    the stored entries of ``H`` are ``(heads, tails, weights)``: no n-by-n
+    array is formed, and each of at most ``2·n`` passes plus one takes
+    O(edges) time and memory.  ``+inf`` marks unreachable nodes.
 
     Raises
     ------
@@ -324,13 +319,12 @@ def shortest_path_distances(nodes, w: SemiringMatrix, source: str) -> list[float
         If a negative cycle is reachable from the source, naming the first
         node it reaches that still changed in the verification pass.
     """
-    if w.spec != minplus():
-        raise ValueError("shortest paths expect a min-plus adjacency matrix")
+    tails, heads, weights = edges
     try:
         src = nodes.index(source)
     except ValueError:
         raise ValueError(f"unknown source node {source!r}") from None
     f = np.full((len(nodes), 1), np.inf)
     f[src] = 0.0
-    x = _relax(w.entries.T, f, w.spec, "shortest-path relaxation", nodes)
+    x = _relax(heads, tails, weights, f, minplus(), "shortest-path relaxation", nodes)
     return [float(v) for v in x[:, 0]]

@@ -222,6 +222,27 @@ def test_minkowski_malformed_operand_exits_two(tmp_path, capsys, operand, text):
     assert "bad.json" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["newton", "{bad}"],
+        ["amoeba", "{bad}", "--window=-3,3,-3,3"],
+        ["converge", "{bad}", "--window=-3,3,-3,3", "--h", "1,0.5"],
+        ["dequantize", "{bad}", "--point", "1,0", "--h", "0.1"],
+        ["tropical-curve", "{bad}"],
+        ["minkowski", "{bad}", "{bad}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_syntax_error_names_its_line(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2,\n "terms": [}\n')
+    assert main([arg.format(bad=bad) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad.json:2:" in captured.err
+
+
 def test_fractal_generator(capsys):
     assert main(["fractal-dim", "--generator", "cantor 9", "--scales", "1,2,3,4,5,6,7"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.special import logsumexp
 
 from tropkit import (
@@ -24,6 +27,7 @@ from tropkit import (
     solve_bellman,
     subtropical,
 )
+from tropkit.cli import main
 
 RNG = np.random.default_rng(411)
 INF = math.inf
@@ -606,18 +610,24 @@ C D 1
 
 
 def test_parse_edge_list_and_distances():
-    nodes, w = parse_edge_list(io.StringIO(EDGES))
+    nodes, (tails, heads, weights) = parse_edge_list(io.StringIO(EDGES))
     assert nodes == ["A", "B", "C", "D"]
-    assert w.spec == minplus()
-    assert w.entries[0, 1] == 1.0 and w.entries[0, 2] == 5.0
-    dist = shortest_path_distances(nodes, w, "A")
-    assert dist == [0.0, 1.0, 3.0, 4.0]
-    assert shortest_path_distances(nodes, w, "D") == [INF, INF, INF, 0.0]
+    assert tails.tolist() == [0, 1, 0, 2] and heads.tolist() == [1, 2, 2, 3]
+    assert weights.tolist() == [1.0, 2.0, 5.0, 1.0]  # as written, in file order
+    edges = (tails, heads, weights)
+    assert shortest_path_distances(nodes, edges, "A") == [0.0, 1.0, 3.0, 4.0]
+    assert shortest_path_distances(nodes, edges, "D") == [INF, INF, INF, 0.0]
+    # numbered by first appearance, not by name
+    nodes, (tails, heads, _) = parse_edge_list(io.StringIO("z a 1\n\nm z 2\nb m 0.25\n"))
+    assert nodes == ["z", "a", "m", "b"]
+    assert tails.tolist() == [0, 2, 3] and heads.tolist() == [1, 0, 2]
 
 
 def test_parallel_edges_keep_the_lighter():
-    nodes, w = parse_edge_list(io.StringIO("A B 4\nA B 2\n"))
-    assert w.entries[0, 1] == 2.0
+    for text in ("A B 4\nA B 2\nB C 1\n", "A B 2\nA B 4\nB C 1\n"):
+        nodes, edges = parse_edge_list(io.StringIO(text))
+        assert sorted(edges[2][:2].tolist()) == [2.0, 4.0]  # both are stored
+        assert shortest_path_distances(nodes, edges, "A") == [0.0, 2.0, 3.0]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -700,3 +710,37 @@ def test_unknown_source_raises():
     nodes, w = parse_edge_list(io.StringIO("A B 1\n"))
     with pytest.raises(ValueError):
         shortest_path_distances(nodes, w, "Z")
+
+
+def test_shortest_path_memory_is_linear_in_edges(tmp_path, capsys):
+    # The edge list is the stored form all the way to the relaxation, so a
+    # 20,000-node graph needs no 3.2 GB dense adjacency.  The bound of 256
+    # bytes per edge is fixed before the run.
+    n, out_degree = 20_000, 4
+    rng = np.random.default_rng(16)
+    # four distinct heads per node, none of them the node itself
+    heads = (np.arange(n)[:, None] + np.cumsum(rng.integers(1, n // 5, (n, out_degree)), 1)) % n
+    weights = rng.integers(1, 10, (n, out_degree))
+    tails = np.repeat(np.arange(n), out_degree)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("".join(
+        f"v{u} v{v} {w}\n" for u, v, w in zip(tails, heads.ravel(), weights.ravel())))
+    tracemalloc.start()
+    try:
+        assert main(["shortest-path", str(graph), "--source", "v0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * n * out_degree
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    got = np.array([float(d) for _, d in rows])
+    order = [int(name[1:]) for name, _ in rows]
+    ref = dijkstra(csr_matrix((weights.ravel(), (tails, heads.ravel())), shape=(n, n)), indices=0)
+    assert np.array_equal(got, ref[order])
+
+
+def test_entries_carry_the_canonical_float_descriptor():
+    # unpickled arrays carry an equal but distinct float64 descriptor, which
+    # sends ufunc.at, the relaxation's scatter, down a much slower path
+    a = RNG.random((3, 3))
+    assert SemiringMatrix(pickle.loads(pickle.dumps(a)), minplus()).entries.dtype is np.dtype(float)
