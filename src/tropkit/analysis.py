@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
-from .linalg import _BLOCK_ELEMENTS
-from .semiring import Semiring, maxplus
+from .semiring import _BLOCK_ELEMENTS, Semiring, maxplus
 
 __all__ = [
     "GridDomain",
@@ -190,6 +189,9 @@ def kernel_apply(kernel: GridFunction, phi: GridFunction) -> GridFunction:
 
     The kernel is a grid function on a product box X × Y whose trailing axes
     match φ's grid exactly (bounds and point count); the result lives on X.
+    Flattened to a (|X|, |Y|) matrix, the kernel contracts φ's flattened
+    values by :meth:`Semiring.contract`, so the only temporary beyond the
+    kernel itself is one block of stacked sums.
     """
     if kernel.spec != phi.spec:
         raise ValueError("kernel and argument live in different semirings")
@@ -203,10 +205,9 @@ def kernel_apply(kernel: GridFunction, phi: GridFunction) -> GridFunction:
         raise ValueError("kernel and argument point counts disagree")
     if kdom.lower[dx:] != pdom.lower or kdom.upper[dx:] != pdom.upper:
         raise ValueError("kernel's trailing axes do not match the argument grid")
-    combined = spec.mul(kernel.values, phi.values)  # broadcasts over leading axes
-    reduced = spec.reduce(combined, tuple(range(dx, dx + dy)))
     xdom = GridDomain(kdom.lower[:dx], kdom.upper[:dx], kdom.points_per_axis)
-    return GridFunction(xdom, reduced, spec)
+    kern = kernel.values.reshape(-1, phi.values.size)
+    return GridFunction(xdom, spec.contract(kern, phi.values.ravel()).reshape(xdom.shape), spec)
 
 
 def negate_convention(phi: GridFunction) -> GridFunction:

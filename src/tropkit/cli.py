@@ -13,6 +13,7 @@ empty result, invalid parameter), 2 malformed input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -187,8 +188,6 @@ def _dyadic_triples(rng: np.random.Generator, n: int, bottom: float):
 
 
 def cmd_semiring_check(args) -> int:
-    if args.selftest:
-        return _run_selftest("semiring-check", _selftest_semiring)
     rng = np.random.default_rng(args.seed)
     n = args.trials
     lines = ["check,spec,trials,max_error,status"]
@@ -233,8 +232,6 @@ def cmd_semiring_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_shortest_path(args) -> int:
-    if args.selftest:
-        return _run_selftest("shortest-path", _selftest_shortest_path)
     _require(args, "graph", "source")
     nodes, edges = linalg.read_edge_list(args.graph)
     dist = linalg.shortest_path_distances(nodes, edges, args.source)
@@ -249,8 +246,6 @@ def cmd_shortest_path(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_legendre(args) -> int:
-    if args.selftest:
-        return _run_selftest("legendre", _selftest_legendre)
     _require(args, "grid", "xi")
     phi = analysis.read_grid_csv(args.grid, semiring.maxplus())
     xi_dom = _parse_grid_domain(args.xi)
@@ -260,8 +255,6 @@ def cmd_legendre(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    if args.selftest:
-        return _run_selftest("convolve", _selftest_convolve)
     _require(args, "grid_a", "grid_b")
     spec = _spec_by_name(args.spec)
     phi = analysis.read_grid_csv(args.grid_a, spec)
@@ -276,8 +269,6 @@ def cmd_convolve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_hj_evolve(args) -> int:
-    if args.selftest:
-        return _run_selftest("hj-evolve", _selftest_hj_evolve)
     _require(args, "scenario", "initial")
     sys_, spec = _parse_scenario(args.scenario)
     initial = analysis.read_grid_csv(args.initial, spec)
@@ -287,8 +278,6 @@ def cmd_hj_evolve(args) -> int:
 
 
 def cmd_hj_viscous(args) -> int:
-    if args.selftest:
-        return _run_selftest("hj-viscous", _selftest_hj_viscous)
     _require(args, "scenario", "initial")
     sys_, _ = _parse_scenario(args.scenario)
     initial = analysis.read_grid_csv(args.initial, semiring.maxplus())
@@ -305,8 +294,6 @@ def cmd_hj_viscous(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dequantize(args) -> int:
-    if args.selftest:
-        return _run_selftest("dequantize", _selftest_dequantize)
     _require(args, "poly", "point")
     f = dequantize.read_poly_json(args.poly)
     x = _parse_float_list(args.point)
@@ -327,8 +314,6 @@ def _polytope_json_text(p) -> str:
 
 
 def cmd_newton(args) -> int:
-    if args.selftest:
-        return _run_selftest("newton", _selftest_newton)
     _require(args, "poly")
     f = dequantize.read_poly_json(args.poly)
     p = dequantize.newton_polytope(f)
@@ -341,8 +326,6 @@ def cmd_newton(args) -> int:
 
 
 def cmd_minkowski(args) -> int:
-    if args.selftest:
-        return _run_selftest("minkowski", _selftest_minkowski)
     _require(args, "poly_p", "poly_q")
     from .polytope import minkowski_add, minkowski_mul, polytope_from_json
 
@@ -379,8 +362,6 @@ def _generated_cloud(text: str) -> fractal.PointCloud:
 
 
 def cmd_fractal_dim(args) -> int:
-    if args.selftest:
-        return _run_selftest("fractal-dim", _selftest_fractal_dim)
     _require(args, "scales")
     s_values = _parse_float_list(args.scales)
     if args.point is not None:
@@ -411,8 +392,6 @@ def cmd_fractal_dim(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_amoeba(args) -> int:
-    if args.selftest:
-        return _run_selftest("amoeba", _selftest_amoeba)
     _require(args, "poly", "window")
     f = dequantize.read_poly_json(args.poly)
     window = amoeba.Window.parse(args.window)
@@ -428,8 +407,6 @@ def cmd_amoeba(args) -> int:
 
 
 def cmd_tropical_curve(args) -> int:
-    if args.selftest:
-        return _run_selftest("tropical-curve", _selftest_tropical_curve)
     _require(args, "poly")
     tf = _read_tropical_poly(args.poly)
     pl = amoeba.tropical_variety(tf)
@@ -443,8 +420,6 @@ def cmd_tropical_curve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.selftest:
-        return _run_selftest("converge", _selftest_converge)
     _require(args, "poly", "window")
     f = dequantize.read_poly_json(args.poly)
     window = amoeba.Window.parse(args.window)
@@ -684,7 +659,11 @@ def _add_common(sub, svg: bool = False) -> None:
         sub.add_argument("--svg", default=None, help="also write an SVG preview here")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every later
+    :func:`main` call in the process; parsing leaves it unchanged.  Each
+    subcommand sets ``func`` and its self-test's ``checks``."""
     parser = argparse.ArgumentParser(
         prog="tropkit",
         description="Tropical semirings, idempotent analysis and dequantization numerics.",
@@ -696,33 +675,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default="1,0.1", help="comma list of deformation parameters")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for randomized checks")
     _add_common(p)
-    p.set_defaults(func=cmd_semiring_check)
+    p.set_defaults(func=cmd_semiring_check, checks=_selftest_semiring)
 
     p = subs.add_parser("shortest-path", help="single-source distances on an edge list")
     p.add_argument("graph", nargs="?", help="edge-list file: 'src dst weight' per line")
     p.add_argument("--source", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_shortest_path)
+    p.set_defaults(func=cmd_shortest_path, checks=_selftest_shortest_path)
 
     p = subs.add_parser("legendre", help="Legendre-type transform of a grid function")
     p.add_argument("grid", nargs="?", help="grid CSV of a max-plus function")
     p.add_argument("--xi", default=None, help="dual grid lo:hi:points[,lo:hi:points]")
     p.add_argument("--mode", choices=("additive", "fenchel"), default="additive")
     _add_common(p)
-    p.set_defaults(func=cmd_legendre)
+    p.set_defaults(func=cmd_legendre, checks=_selftest_legendre)
 
     p = subs.add_parser("convolve", help="idempotent convolution of two grid functions")
     p.add_argument("grid_a", nargs="?")
     p.add_argument("grid_b", nargs="?")
     p.add_argument("--spec", choices=("maxplus", "minplus"), default="maxplus")
     _add_common(p)
-    p.set_defaults(func=cmd_convolve)
+    p.set_defaults(func=cmd_convolve, checks=_selftest_convolve)
 
     p = subs.add_parser("hj-evolve", help="semigroup evolution of an action function")
     p.add_argument("scenario", nargs="?", help="key-value scenario file")
     p.add_argument("initial", nargs="?", help="grid CSV of the initial action")
     _add_common(p)
-    p.set_defaults(func=cmd_hj_evolve)
+    p.set_defaults(func=cmd_hj_evolve, checks=_selftest_hj_evolve)
 
     p = subs.add_parser("hj-viscous", help="smoothed (parabolic) evolution")
     p.add_argument("scenario", nargs="?")
@@ -730,7 +709,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--dequantize", action="store_true", help="emit h·log u instead of u")
     _add_common(p)
-    p.set_defaults(func=cmd_hj_viscous)
+    p.set_defaults(func=cmd_hj_viscous, checks=_selftest_hj_viscous)
 
     p = subs.add_parser("dequantize", help="log-log rescaling of a sparse polynomial")
     p.add_argument("poly", nargs="?", help="polynomial JSON")
@@ -738,19 +717,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default=None, help="comma list of h values")
     p.add_argument("--limit", action="store_true", help="also print the h → 0 limit")
     _add_common(p)
-    p.set_defaults(func=cmd_dequantize)
+    p.set_defaults(func=cmd_dequantize, checks=_selftest_dequantize)
 
     p = subs.add_parser("newton", help="Newton polytope of a sparse polynomial")
     p.add_argument("poly", nargs="?")
     _add_common(p, svg=True)
-    p.set_defaults(func=cmd_newton)
+    p.set_defaults(func=cmd_newton, checks=_selftest_newton)
 
     p = subs.add_parser("minkowski", help="Minkowski sum / hull-of-union of polytopes")
     p.add_argument("poly_p", nargs="?")
     p.add_argument("poly_q", nargs="?")
     p.add_argument("--op", choices=("mul", "add"), default="mul")
     _add_common(p)
-    p.set_defaults(func=cmd_minkowski)
+    p.set_defaults(func=cmd_minkowski, checks=_selftest_minkowski)
 
     p = subs.add_parser("fractal-dim", help="covering-number dimension estimates")
     p.add_argument("cloud", nargs="?", help="point-cloud CSV (or measure CSV with --point)")
@@ -758,7 +737,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", default=None, help="comma list of s values (ρ = e^-s)")
     p.add_argument("--point", default=None, help="probe point: estimate the local dimension")
     _add_common(p)
-    p.set_defaults(func=cmd_fractal_dim)
+    p.set_defaults(func=cmd_fractal_dim, checks=_selftest_fractal_dim)
 
     p = subs.add_parser("amoeba", help="sample the amoeba of a plane curve")
     p.add_argument("poly", nargs="?")
@@ -767,13 +746,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", type=int, default=200)
     p.add_argument("--angles", type=int, default=64)
     _add_common(p, svg=True)
-    p.set_defaults(func=cmd_amoeba)
+    p.set_defaults(func=cmd_amoeba, checks=_selftest_amoeba)
 
     p = subs.add_parser("tropical-curve", help="corner locus of a tropical polynomial")
     p.add_argument("poly", nargs="?", help="tropical polynomial JSON")
     p.add_argument("--window", default=None, help="window for the SVG preview")
     _add_common(p, svg=True)
-    p.set_defaults(func=cmd_tropical_curve)
+    p.set_defaults(func=cmd_tropical_curve, checks=_selftest_tropical_curve)
 
     p = subs.add_parser("converge", help="Hausdorff distance of deformed amoebas to the tropical limit")
     p.add_argument("poly", nargs="?")
@@ -782,7 +761,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", type=int, default=200)
     p.add_argument("--angles", type=int, default=64)
     _add_common(p, svg=True)
-    p.set_defaults(func=cmd_converge)
+    p.set_defaults(func=cmd_converge, checks=_selftest_converge)
 
     return parser
 
@@ -794,6 +773,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.selftest:
+            return _run_selftest(args.command, args.checks)
         return args.func(args)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ superposition principle:
 ``step(λ₁ ⊙ S₁ ⊕ λ₂ ⊙ S₂) = λ₁ ⊙ step(S₁) ⊕ λ₂ ⊙ step(S₂)``.
 
 The kernel is a sum of one (p × p) kernel per axis, so the step contracts
-one axis at a time and never forms the p^{2d} kernel: O(d·p^{d+1}) time and
+one axis at a time (:meth:`Semiring.contract`, the blocked contraction of
+a matrix product) and never forms the p^{2d} kernel: O(d·p^{d+1}) time and
 O(p^d + p²) memory per step on a d-dimensional grid of p points per axis.
 :func:`quadratic_kernel` builds the dense kernel as a reference.
 
@@ -34,7 +35,6 @@ import numpy as np
 
 from .analysis import GridDomain, GridFunction
 from .errors import DomainTooSmallError
-from .linalg import _BLOCK_ELEMENTS
 from .semiring import Semiring, maxplus, subtropical
 
 __all__ = [
@@ -216,17 +216,6 @@ def _check_support(phi: GridFunction, sys: MechanicalSystem) -> None:
         )
 
 
-def _contract_axis(a: np.ndarray, kern: np.ndarray, axis: int, spec: Semiring) -> np.ndarray:
-    """``out[..., x, ...] = ⊕_y kern[x, y] ⊙ a[..., y, ...]`` along one axis."""
-    a = np.ascontiguousarray(np.moveaxis(a, axis, -1))
-    out = np.empty(a.shape[:-1] + (kern.shape[0],))
-    rows = max(1, _BLOCK_ELEMENTS // a.size)
-    for start in range(0, kern.shape[0], rows):
-        stop = start + rows
-        spec.reduce(a[..., None, :] + kern[start:stop], -1, out=out[..., start:stop], overwrite=True)
-    return np.moveaxis(out, -1, axis)
-
-
 def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
     """One semigroup step: quadratic-kernel propagation, then ``+ V·Δt``.
 
@@ -238,8 +227,9 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
         ⊕_y K(x, y) ⊙ S(y) = ⊕_{y_1} K_1 ⊙ ( … ⊕_{y_d} K_d ⊙ S(y) … ).
 
     The step therefore contracts one axis at a time against the (p × p)
-    kernel ``K_i``: O(d·p^{d+1}) time and O(p^d + p²) memory, against
-    O(p^{2d}) for both with the dense kernel of :func:`quadratic_kernel`.
+    kernel ``K_i`` with :meth:`Semiring.contract`: O(d·p^{d+1}) time and
+    O(p^d + p²) memory, against O(p^{2d}) for both with the dense kernel of
+    :func:`quadratic_kernel`.
     The nesting is exact; only the order of the float additions differs from
     the dense sum, by a few ulps in d ≥ 2.  In 1-D it is the same arithmetic
     as the dense operator, so the result agrees with
@@ -262,7 +252,7 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
     dom = phi.domain
     values = phi.values
     for axis, kern in enumerate(_axis_kernels(dom, sys, spec)):
-        values = _contract_axis(values, kern, axis, spec)
+        values = spec.contract(kern, values, axis)
     if sys.potential is not None:
         v = np.asarray(sys.potential(*dom.grids()), dtype=float)
         values = values + v * sys.dt

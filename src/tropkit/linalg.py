@@ -1,6 +1,7 @@
 """Matrices over tropical semirings: Kleene star, Bellman solvers, shortest paths.
 
-Matrix addition and multiplication are the semiring lifts of ⊕ and ⊙; over
+Matrix addition and multiplication are the semiring lifts of ⊕ and ⊙, the
+product being the one blocked contraction :meth:`Semiring.contract`; over
 min-plus, ``mat_mul`` is the classical (min, +) product whose powers encode
 shortest walks, and the Kleene star ``A* = I ⊕ A ⊕ A² ⊕ ...`` collects walks
 of every length.  One elimination computes the star over every semiring from
@@ -36,12 +37,6 @@ __all__ = [
     "parse_edge_list",
     "shortest_path_distances",
 ]
-
-
-# Largest temporary block, in elements (16 MiB of doubles), that a matrix
-# product, a Lax–Oleinik axis contraction or the Legendre transform's
-# candidate evaluation forms at once.
-_BLOCK_ELEMENTS = 2**21
 
 
 class SemiringMatrix:
@@ -113,20 +108,6 @@ def _require_same_spec(a: SemiringMatrix, b: SemiringMatrix) -> Semiring:
     return a.spec
 
 
-def _product_entries(a: np.ndarray, b: np.ndarray, spec: Semiring) -> np.ndarray:
-    # Same-signed infinities add cleanly, so no guard is needed inside the
-    # validated carrier: bottom rows/columns propagate as bottom.  Each output
-    # row is reduced on its own, so evaluating the stacked sums a block of
-    # rows at a time gives the same entries in bounded memory.  The block is
-    # this function's own temporary, so the reduction may work inside it.
-    out = np.empty((a.shape[0], b.shape[1]))
-    step = max(1, _BLOCK_ELEMENTS // b.size)
-    for start in range(0, a.shape[0], step):
-        rows = slice(start, start + step)
-        spec.reduce(a[rows, :, None] + b[None, :, :], 1, out=out[rows], overwrite=True)
-    return out
-
-
 def mat_add(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
     """Entrywise ⊕ of two equal-shaped matrices over the same semiring."""
     spec = _require_same_spec(a, b)
@@ -136,11 +117,12 @@ def mat_add(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
 
 
 def mat_mul(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
-    """Semiring matrix product: C[i, j] = ⊕_k A[i, k] ⊙ B[k, j]."""
+    """Semiring matrix product ``C[i, j] = ⊕_k A[i, k] ⊙ B[k, j]``: A's rows
+    contract B's first axis, by :meth:`Semiring.contract` in bounded blocks."""
     spec = _require_same_spec(a, b)
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return SemiringMatrix(_product_entries(a.entries, b.entries, spec), spec)
+    return SemiringMatrix(spec.contract(a.entries, b.entries), spec)
 
 
 def kleene_star(a: SemiringMatrix) -> SemiringMatrix:

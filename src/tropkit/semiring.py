@@ -11,12 +11,14 @@ Three concrete semirings share the carrier conventions of IEEE doubles:
   ``h > 0``.  As ``h → 0`` the smoothed sum collapses onto ``max``; the gap is
   bounded by ``h·log 2`` and is attained at ``a == b``.
 
-:meth:`Semiring.reduce` is the one ⊕ over many terms that the matrix, grid
-and Lax–Oleinik code contract with (``max``, ``min``, or ``h·log Σ exp(v/h)``
-in one shifted ``exp`` pass), :meth:`Semiring.add_at` its scattered form
-over the stored entries of an idempotent Bellman system, and
-:meth:`Semiring.star` the scalar closure ``1 ⊕ a ⊕ a⊙a ⊕ ...`` that the Kleene
-star eliminates with.
+:meth:`Semiring.reduce` is the one ⊕ over many terms (``max``, ``min``, or
+``h·log Σ exp(v/h)`` in one shifted ``exp`` pass).  :meth:`Semiring.contract`
+reduces through it the integral operator ``⊕_y K(x, y) ⊙ a(y)`` along one
+axis, in bounded blocks: that is the matrix product, each axis of the
+Lax–Oleinik step and ``kernel_apply``.  :meth:`Semiring.add_at` is the
+scattered ⊕ over the stored entries of an idempotent Bellman system, and
+:meth:`Semiring.star` the scalar closure ``1 ⊕ a ⊕ a⊙a ⊕ ...`` that the
+Kleene star eliminates with.
 
 Scalars are plain floats.  The semiring zero ("bottom") is a genuine IEEE
 infinity, so absorption and neutrality mostly fall out of float arithmetic;
@@ -43,6 +45,10 @@ __all__ = [
 ]
 
 _VARIANTS = ("maxplus", "minplus", "subtropical")
+
+# Largest temporary block, in elements (16 MiB of doubles), that a
+# contraction or the Legendre transform's candidate evaluation forms at once.
+_BLOCK_ELEMENTS = 2**21
 
 
 def _maybe_float(x):
@@ -137,6 +143,28 @@ class Semiring:
         if self.variant == "minplus":
             return np.min(values, axis=axis, out=out)
         return _h_logsumexp(values, axis, self.h, out, overwrite)
+
+    def contract(self, kern, a, axis: int = 0):
+        """``out[..., x, ...] = ⊕_y kern[x, y] ⊙ a[..., y, ...]`` along ``axis``.
+
+        The stacked sums ``kern[x, y] + a[..., y, ...]`` are formed for a block
+        of rows x at a time, of at most ``_BLOCK_ELEMENTS`` entries (one row
+        when ``a`` alone is larger), with ``y`` left in ``axis``'s place, and
+        each block is reduced inside itself.  Every output entry is reduced
+        on its own, so the block size changes no bit of the result.
+        Same-signed infinities add cleanly, so inside the carrier bottom
+        stays bottom with no guard.
+        """
+        a = np.asarray(a, dtype=float)
+        axis %= a.ndim
+        out = np.empty(a.shape[:axis] + (kern.shape[0],) + a.shape[axis + 1:])
+        kern = np.reshape(kern, kern.shape + (1,) * (a.ndim - axis - 1))
+        a = np.expand_dims(a, axis)
+        step = max(1, _BLOCK_ELEMENTS // a.size)
+        for start in range(0, kern.shape[0], step):
+            rows = (slice(None),) * axis + (slice(start, start + step),)
+            self.reduce(kern[rows[-1]] + a, axis + 1, out=out[rows], overwrite=True)
+        return out
 
     def add_at(self, out, index, values) -> None:
         """``out[index] ⊕= values`` in place, repeated indices accumulating,

@@ -25,7 +25,7 @@ from tropkit import (
     sup_convolution,
     write_grid_csv,
 )
-from tropkit import analysis
+from tropkit import analysis, semiring
 
 RNG = np.random.default_rng(77)
 MP = maxplus()
@@ -186,6 +186,26 @@ def test_kernel_identity_spike():
     )
     phi = GridFunction(x_dom, RNG.standard_normal(9), MP)
     assert np.array_equal(kernel_apply(eye, phi).values, phi.values)
+
+
+@pytest.mark.parametrize("spec", [MP, subtropical(0.5)], ids=["maxplus", "subtropical"])
+def test_kernel_apply_works_in_blocks(spec):
+    """A 401 × 401 kernel (1.2 MiB) is contracted 2¹⁴ stacked sums (128 KiB)
+    at a time: the dense product alone would be another kernel-sized array."""
+    x_dom = GridDomain(-1.0, 1.0, 401)
+    kern = GridFunction.sample(lambda x, y: -((x - y) ** 2), GridDomain.product(x_dom, x_dom), spec)
+    phi = GridFunction.sample(lambda y: -(y**2), x_dom, spec)
+    whole = kernel_apply(kern, phi).values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semiring, "_BLOCK_ELEMENTS", 2**14)
+        tracemalloc.start()
+        try:
+            out = kernel_apply(kern, phi).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**14 * 8 < kern.values.nbytes
+    assert out.tobytes() == whole.tobytes()
 
 
 def test_kernel_shape_mismatch():

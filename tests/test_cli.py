@@ -1,28 +1,26 @@
+import argparse
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tropkit
 from tropkit import GridDomain, GridFunction, maxplus, minplus, read_grid_csv, write_grid_csv
-from tropkit.cli import main
+from tropkit.cli import _build_parser, main
 
-ALL_COMMANDS = [
-    "semiring-check",
-    "shortest-path",
-    "legendre",
-    "convolve",
-    "hj-evolve",
-    "hj-viscous",
-    "dequantize",
-    "newton",
-    "minkowski",
-    "fractal-dim",
-    "amoeba",
-    "tropical-curve",
-    "converge",
-]
+
+def _subcommands() -> dict:
+    """The parser's subcommands, name → subparser, in declaration order."""
+    (subs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+ALL_COMMANDS = list(_subcommands())
 
 
 @pytest.fixture
@@ -48,6 +46,36 @@ def graph_file(tmp_path):
     p = tmp_path / "graph.txt"
     p.write_text("# demo graph\nA B 1\nB C 2\nA C 5\nC D 1\n")
     return str(p)
+
+
+def test_every_subcommand_declares_its_selftest():
+    assert len(ALL_COMMANDS) >= 13  # the derivation found the subcommands
+    for name, sub in _subcommands().items():
+        assert callable(sub.get_default("func")), name
+        assert callable(sub.get_default("checks")), name
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert _build_parser() is _build_parser()
+    # sys.path[0] set to the tropkit imported here, whatever PYTHONPATH holds
+    root = str(Path(tropkit.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tropkit.cli as c; "
+            "print(c._build_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code, root], capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
+
+
+def test_repeated_main_calls_share_no_state(graph_file, tmp_path, capsys):
+    out = tmp_path / "dist.csv"
+    argv = ["shortest-path", graph_file, "--source", "A"]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text() == "node,distance\nA,0\nB,1\nC,3\nD,4\n"
+    assert main(["shortest-path", "--selftest"]) == 0
+    assert "selftest shortest-path: ok" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)

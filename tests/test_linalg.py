@@ -17,12 +17,12 @@ from tropkit import (
     InputFormatError,
     SemiringMatrix,
     kleene_star,
-    linalg,
     mat_add,
     mat_mul,
     maxplus,
     minplus,
     parse_edge_list,
+    semiring,
     shortest_path_distances,
     solve_bellman,
     subtropical,
@@ -492,7 +492,7 @@ def test_blocked_product_matches_dense(spec, monkeypatch):
     dense = dense_reduce(a[:, :, None] + b[None, :, :], 1, spec)
     am, bm = SemiringMatrix(a, spec), SemiringMatrix(b, spec)
     for block in (15, 30, 45, 10**6):
-        monkeypatch.setattr(linalg, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(semiring, "_BLOCK_ELEMENTS", block)
         assert np.array_equal(mat_mul(am, bm).entries, dense)
 
 

@@ -12,6 +12,7 @@ from tropkit import (
     Semiring,
     maxplus,
     minplus,
+    semiring,
     subtropical,
     subtropical_add,
 )
@@ -333,3 +334,49 @@ def test_idempotent_reduce_is_max_or_min(spec, ref, axis):
         out = np.empty(a.shape[1 - axis])
         assert spec.reduce(a, axis, out=out) is out
         assert bits(out) == bits(ref(a, axis=axis))
+
+
+# ---------------------------------------------------------------------------
+# the ⊕-contraction
+# ---------------------------------------------------------------------------
+
+def dense_contract(kern, a, axis, spec):
+    """``⊕_y kern[x, y] ⊙ a[..., y, ...]`` from every stacked sum at once, with
+    the contracted axis moved last and reduced by numpy or SciPy."""
+    terms = np.moveaxis(a, axis, -1)[..., None, :] + kern
+    if spec.is_idempotent:
+        out = (np.max if spec.variant == "maxplus" else np.min)(terms, axis=-1)
+    else:
+        with np.errstate(divide="ignore"):
+            out = spec.h * logsumexp(terms / spec.h, axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([maxplus(), minplus(), subtropical(1.0), subtropical(0.125)]),
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    rows=st.integers(1, 5),
+    data=st.data(),
+)
+def test_contract_is_blockwise_exact_and_matches_dense(spec, shape, rows, data):
+    # quarter-integer entries with some bottoms; -33 stands for bottom
+    def entries(shape):
+        k = data.draw(arrays(np.int64, shape, elements=st.integers(-33, 32)))
+        return np.where(k == -33, spec.zero, k / 4.0)
+
+    a = entries(tuple(shape))
+    for axis in range(a.ndim):
+        kern = entries((rows, a.shape[axis]))
+        results = []
+        for block in (1, 7, 2**21):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semiring, "_BLOCK_ELEMENTS", block)
+                results.append(spec.contract(kern, a, axis))
+        assert all(bits(r) == bits(results[0]) for r in results)
+        out, ref = results[0], dense_contract(kern, a, axis, spec)
+        assert out.shape == ref.shape == a.shape[:axis] + (rows,) + a.shape[axis + 1:]
+        if spec.is_idempotent:
+            assert bits(out) == bits(ref)
+        else:
+            np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14)
