@@ -3,12 +3,16 @@
 The amoeba of a polynomial ``f`` on (C*)² is the image of its zero set under
 ``Log_h(z) = (h·log|z₁|, h·log|z₂|)``.  It is sampled fiberwise: fixing
 ``x₁`` (hence ``|z₁| = exp(x₁/h)``) and sweeping the phase of ``z₁``, the
-roots of the resulting univariate polynomials in ``z₂`` are computed for all
-phases of the fiber at once: one stacked companion-matrix eigensolve (the
-matrices ``np.roots`` would build, one per phase) plus a vectorized Newton
-polish, and each root contributes the point ``(x₁, h·log|z₂|)``.  Slicing is
-done in both coordinate directions so that tentacles of every orientation
-are resolved.
+roots of the resulting univariate polynomials in ``z₂`` are computed for
+every phase of every fiber of a direction at once: the slice polynomials are
+stacked across fibers, one companion-matrix eigensolve per group of rows
+that ``np.roots`` would strip alike (the matrices it would build, one per
+phase and fiber) plus a vectorized Newton polish, and each root contributes
+the point ``(x₁, h·log|z₂|)``.  The fibers are taken in chunks whose
+companion matrices stay within one ``_BLOCK_ELEMENTS`` block of doubles, and
+each chunk becomes points before the next is solved.  Slicing is done in
+both coordinate directions so that tentacles of every orientation are
+resolved.
 
 The tropical counterpart is the corner locus of ``max_a (v_a + ⟨a, x⟩)``: a
 planar piecewise-linear set of vertices, edges and rays, read exactly off the
@@ -31,6 +35,7 @@ from scipy.spatial import cKDTree
 from .dequantize import SparsePolynomial
 from .errors import ScaleRangeError
 from .polytope import _hull_3d
+from .semiring import _BLOCK_ELEMENTS
 
 __all__ = [
     "Window",
@@ -162,16 +167,20 @@ def deform_polynomial(f: SparsePolynomial, h: float) -> SparsePolynomial:
 
 # -- fiberwise root sampling -------------------------------------------------
 
-def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
-    """Roots in ``z₂`` over the circle ``|z₁| = exp(x₁/h)``.
+def _fibre_roots(f: SparsePolynomial, h: float, x1s, angle_samples: int):
+    """Roots in ``z₂`` over the circles ``|z₁| = exp(x₁/h)``, ``x₁`` in ``x1s``.
 
-    Returns ``(thetas, roots, residuals)``: for each phase sample and each
-    nonzero root, phase-major and in eigenvalue order, the normalized
-    residual ``|f(z)| / Σ_a |c_a z^a|``.  Phases whose slice polynomials
-    strip alike share one stacked companion eigensolve, built as ``np.roots``
-    builds it; the Newton polish and the residuals run over all roots of the
-    fiber at once.  Phases where the slice polynomial vanishes identically
-    are flagged with a warning and skipped.
+    The one fibre kernel, a generator over consecutive chunks of fibres.
+    Each chunk yields ``(fibres, thetas, roots, residuals, degenerate)``: per
+    nonzero root with a finite normalized residual ``|f(z)| / Σ_a |c_a z^a|``,
+    ordered by fibre, then phase, then eigenvalue, the index of its fibre in
+    ``x1s``, its phase and its residual; and the chunk's count of phases
+    whose slice polynomial vanishes identically, which are skipped and
+    warned about once per fibre.  A chunk holds at most ``_BLOCK_ELEMENTS``
+    doubles of companion matrices (one fibre when a fibre alone is larger),
+    and is solved and freed before the next one is built; a root does not
+    depend on the chunking.  A fibre whose ``|z₁|^deg`` overflows raises
+    ``ValueError`` once the fibres before it are yielded.
     """
     if f.dim != 2:
         raise ValueError("amoeba slicing expects a bivariate polynomial")
@@ -182,17 +191,44 @@ def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
         raise ValueError("need at least one phase sample")
     exps = np.array(f.support, dtype=int)
     coeffs = f.coefficient_array()
-    if np.max(np.abs(exps[:, 0])) * abs(x1) / h > _EXP_GUARD:
+    x1s = [float(x1) for x1 in x1s]
+    reach = np.max(np.abs(exps[:, 0]))
+    stop = next((s for s, x1 in enumerate(x1s) if reach * abs(x1) / h > _EXP_GUARD), len(x1s))
+    thetas = 2.0 * np.pi * np.arange(angle_samples) / angle_samples
+    step = max(1, _BLOCK_ELEMENTS // (2 * angle_samples * (int(exps[:, 1].max()) + 1) ** 2))
+    for start in range(0, stop, step):
+        xs = x1s[start : min(start + step, stop)]
+        fibres, phases, roots, residuals, dead = _solve_fibres(exps, coeffs, h, xs, thetas)
+        for x1, degenerate in zip(xs, dead.tolist()):
+            if degenerate:
+                warnings.warn(
+                    f"slice x1={x1:g}: {degenerate} phase(s) gave an identically zero "
+                    "polynomial; skipped",
+                    stacklevel=2,  # the loop drawing the chunks
+                )
+        yield start + fibres, thetas[phases], roots, residuals, int(dead.sum())
+    if stop < len(x1s):
         raise ValueError("slice coordinate too large: |z1|^deg overflows")
 
-    deg2 = int(exps[:, 1].max())
-    thetas = 2.0 * np.pi * np.arange(angle_samples) / angle_samples
-    # slice coefficients: C[t, a2] = Σ_{(a1, a2)} c · exp(a1·x1/h) · e^{i a1 θ_t}
-    cmat = np.zeros((angle_samples, deg2 + 1), dtype=complex)
-    for (a1, a2), c in zip(exps, coeffs):
-        cmat[:, a2] += c * math.exp(a1 * x1 / h) * np.exp(1j * a1 * thetas)
 
-    desc = cmat[:, ::-1]  # highest degree first, as np.roots and np.polyval take it
+def _solve_fibres(exps, coeffs, h, xs, thetas):
+    """One chunk of :func:`_fibre_roots`: its roots by fibre and phase index,
+    their residuals, and each fibre's count of identically zero phases.
+
+    The slice polynomials of every phase of every fibre are stacked as rows;
+    rows that ``np.roots`` would strip alike share one companion eigensolve,
+    built as ``np.roots`` builds it, and the Newton polish and the residuals
+    run over all roots at once.
+    """
+    deg2 = int(exps[:, 1].max())
+    # slice coefficients: C[s, t, a2] = Σ_{(a1, a2)} c · exp(a1·x1_s/h) · e^{i a1 θ_t}
+    cmat = np.zeros((len(xs), thetas.size, deg2 + 1), dtype=complex)
+    for (a1, a2), c in zip(exps, coeffs):
+        scaled = np.array([c * math.exp(a1 * x1 / h) for x1 in xs])
+        cmat[:, :, a2] += scaled[:, None] * np.exp(1j * a1 * thetas)
+
+    # one row per (fibre, phase), highest degree first, as np.roots and np.polyval take it
+    desc = cmat.reshape(-1, deg2 + 1)[:, ::-1]
     deriv = desc[:, :-1] * np.arange(deg2, 0, -1)
     nonzero = desc != 0
     live = nonzero.any(axis=1)
@@ -210,6 +246,7 @@ def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
         comp[:, 1:, :-1] = np.eye(hi - lo - 1)
         comp[:, 0, :] = -desc[grp, lo + 1 : hi + 1] / desc[grp, lo, None]
         r = np.linalg.eigvals(comp)
+        del comp  # the largest temporary: free it before the next group's
         keep = r != 0
         for _ in range(2):  # Newton polish against the full slice polynomial
             pv = _horner(desc[grp], r)
@@ -220,10 +257,11 @@ def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
         rows.append(np.broadcast_to(grp[:, None], r.shape)[keep])
         roots.append(r[keep])
     rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")  # phase-major, eigenvalue order within
+    order = np.argsort(rows, kind="stable")  # fibre- and phase-major, eigenvalue order within
     rows, roots = rows[order], np.concatenate(roots)[order]
 
-    z1 = (math.exp(x1 / h) * np.exp(1j * thetas))[rows]
+    moduli = np.array([math.exp(x1 / h) for x1 in xs])
+    z1 = (moduli[:, None] * np.exp(1j * thetas)).reshape(-1)[rows]
     vals = np.zeros(roots.shape, dtype=complex)
     scale = np.zeros(roots.shape, dtype=float)
     for (a1, a2), c in zip(exps, coeffs):
@@ -233,14 +271,24 @@ def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
     with np.errstate(invalid="ignore", divide="ignore"):
         res = np.abs(vals) / scale
     finite = np.isfinite(res)
-    degenerate = angle_samples - int(live.sum())
-    if degenerate:
-        warnings.warn(
-            f"slice x1={x1:g}: {degenerate} phase(s) gave an identically zero "
-            "polynomial; skipped",
-            stacklevel=2,
-        )
-    return thetas[rows[finite]], roots[finite], res[finite]
+    fibres, phases = np.divmod(rows[finite], thetas.size)
+    dead = thetas.size - live.reshape(len(xs), thetas.size).sum(axis=1)
+    return fibres, phases, roots[finite], res[finite], dead
+
+
+def slice_roots(f: SparsePolynomial, h: float, x1: float, angle_samples: int):
+    """Roots in ``z₂`` over the circle ``|z₁| = exp(x₁/h)``.
+
+    Returns ``(thetas, roots, residuals)``: for each phase sample and each
+    nonzero root, phase-major and in eigenvalue order, the normalized
+    residual ``|f(z)| / Σ_a |c_a z^a|``.  This is the fibre kernel that
+    :func:`sample_amoeba` runs over every fibre of a direction, called with
+    this one fibre, so its phases share stacked companion eigensolves and
+    one Newton polish.  Phases where the slice polynomial vanishes
+    identically are flagged with a warning and skipped.
+    """
+    ((_, thetas, roots, residuals, _),) = _fibre_roots(f, h, [x1], angle_samples)
+    return thetas, roots, residuals
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -270,11 +318,20 @@ def amoeba_slice(
 
 @dataclass
 class AmoebaSample:
-    """A sampled amoeba: points, the scale h, and the window that clips it."""
+    """A sampled amoeba: points, the scale h, and the window that clips it.
+
+    ``roots_found`` counts the nonzero roots with a finite residual over all
+    fibres, ``roots_kept`` those of them that passed the 1e-9 residual
+    filter (before the window clips their points), and ``degenerate_phases``
+    the phases skipped because their slice polynomial vanished identically.
+    """
 
     points: np.ndarray
     h: float
     window: Window
+    roots_found: int = 0
+    roots_kept: int = 0
+    degenerate_phases: int = 0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -295,28 +352,34 @@ def sample_amoeba(
     """Slice the amoeba in both coordinate directions and clip to the window.
 
     ``slices`` fiber positions per direction; zero slices give an empty
-    sample.  Monomials have empty amoebas (every slice is root-free).
+    sample.  Monomials have empty amoebas (every slice is root-free).  Each
+    direction is one run of the fibre kernel, whose chunks are turned into
+    points as they come; the points are those of :func:`amoeba_slice` on
+    each fibre in turn, clipped to the window.
     """
     if slices < 0:
         raise ValueError("slice count must be nonnegative")
+    h = float(h)
     collected = []
-    if slices > 0:
-        for x1 in np.linspace(window.xmin, window.xmax, slices):
-            pts = amoeba_slice(f, h, float(x1), angle_samples)
-            if pts.size:
-                keep = (pts[:, 1] >= window.ymin) & (pts[:, 1] <= window.ymax)
-                collected.append(pts[keep])
-        swapped = _swap_variables(f)
-        for x2 in np.linspace(window.ymin, window.ymax, slices):
-            pts = amoeba_slice(swapped, h, float(x2), angle_samples)
-            if pts.size:
-                flipped = pts[:, ::-1]  # (value, x2) back to (x1-coordinate, x2)
-                keep = (flipped[:, 0] >= window.xmin) & (flipped[:, 0] <= window.xmax)
-                collected.append(flipped[keep])
+    found = kept = degenerate = 0
+    ranges = ((window.xmin, window.xmax), (window.ymin, window.ymax))
+    for swapped in (False, True) if slices > 0 else ():
+        (lo, hi), (vlo, vhi) = ranges[::-1] if swapped else ranges
+        coords = np.linspace(lo, hi, slices)
+        g = _swap_variables(f) if swapped else f
+        for fibres, _, roots, residuals, dead in _fibre_roots(g, h, coords, angle_samples):
+            good = residuals <= _RESIDUAL_TOL
+            values = h * np.log(np.abs(roots[good]))
+            inside = (values >= vlo) & (values <= vhi)
+            fixed, values = coords[fibres[good][inside]], values[inside]
+            collected.append(np.stack((values, fixed) if swapped else (fixed, values), axis=1))
+            found += residuals.size
+            kept += int(good.sum())
+            degenerate += dead
     points = (
         np.concatenate(collected, axis=0) if collected else np.empty((0, 2))
     )
-    return AmoebaSample(points, float(h), window)
+    return AmoebaSample(points, h, window, found, kept, degenerate)
 
 
 # -- the tropical side -------------------------------------------------------

@@ -30,11 +30,7 @@ __all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return f"{x:.12g}"
+    return format(x, ".12g")
 
 
 def _resolve_output(text: str | None) -> Path | None:
@@ -397,7 +393,7 @@ def cmd_amoeba(args) -> int:
     window = amoeba.Window.parse(args.window)
     sample = amoeba.sample_amoeba(f, args.h, window, args.slices, args.angles)
     lines = ["x1,x2"]
-    lines.extend(f"{_fmt(p[0])},{_fmt(p[1])}" for p in sample.points)
+    lines.extend(f"{x:.12g},{y:.12g}" for x, y in sample.points.tolist())
     _emit(args, "\n".join(lines) + "\n")
     if getattr(args, "svg", None):
         from .svgplot import svg_scene

@@ -47,7 +47,8 @@ __all__ = [
 _VARIANTS = ("maxplus", "minplus", "subtropical")
 
 # Largest temporary block, in elements (16 MiB of doubles), that a
-# contraction or the Legendre transform's candidate evaluation forms at once.
+# contraction, the Legendre transform's candidate evaluation or a chunk of
+# amoeba fibres' companion matrices forms at once.
 _BLOCK_ELEMENTS = 2**21
 
 

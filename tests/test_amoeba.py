@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tropkit import amoeba
 from tropkit import (
     AmoebaSample,
     PlanarPLSet,
@@ -206,6 +208,8 @@ def test_slice_guard_rails():
         slice_roots(LINE, 1.0, 0.0, 0)
     with pytest.raises(ValueError):
         slice_roots(LINE, 1e-3, 800.0, 4)  # e^{800/h} overflows
+    with pytest.raises(ValueError):
+        sample_amoeba(LINE, 1e-3, Window(-1.0, 800.0, -1.0, 1.0), 3, 4)  # the last fibre
 
 
 def test_degenerate_phase_warns():
@@ -300,6 +304,125 @@ def test_sample_horizontal_line():
         sample = sample_amoeba(f, 1.0, WIN, 21, 8)
     assert sample.points.shape[0] >= 21
     assert np.max(np.abs(sample.points[:, 1] - 1.0)) <= 1e-9
+
+
+def reference_sample_amoeba(f, h, window, slices, angle_samples):
+    """One ``amoeba_slice`` per fibre in both directions, clipped to the window.
+
+    This is the per-fibre loop that ``sample_amoeba`` replaces with one run of
+    the fibre kernel per direction; ``amoeba_slice`` itself is pinned to the
+    per-phase ``np.roots`` reference above.  Returns the points and the roots
+    found and kept, counted from ``slice_roots`` on the same fibres.
+    """
+    collected, found, kept = [], 0, 0
+    if slices > 0:
+        swapped = SparsePolynomial(2, tuple(((e[1], e[0]), c) for e, c in f.terms))
+        for g, coords in ((f, np.linspace(window.xmin, window.xmax, slices)),
+                          (swapped, np.linspace(window.ymin, window.ymax, slices))):
+            for x in coords:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # amoeba_slice below warns once
+                    _, _, residuals = slice_roots(g, h, float(x), angle_samples)
+                found += residuals.size
+                kept += int(np.count_nonzero(residuals <= 1e-9))
+                pts = amoeba_slice(g, h, float(x), angle_samples)
+                if g is f:
+                    keep = (pts[:, 1] >= window.ymin) & (pts[:, 1] <= window.ymax)
+                    collected.append(pts[keep])
+                else:
+                    flipped = pts[:, ::-1]
+                    keep = (flipped[:, 0] >= window.xmin) & (flipped[:, 0] <= window.xmax)
+                    collected.append(flipped[keep])
+    points = np.concatenate(collected, axis=0) if collected else np.empty((0, 2))
+    return points, found, kept
+
+
+def zero_phase_messages(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [str(w.message) for w in caught if "identically zero" in str(w.message)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    support=st.sets(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8
+    ),
+    data=st.data(),
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    slices=st.integers(0, 12),
+    angle_samples=st.sampled_from([1, 3, 16]),
+    chunking=st.sampled_from(["one fibre", "mid-direction", "default"]),
+)
+def test_sample_amoeba_matches_per_slice_loop(support, data, h, slices, angle_samples, chunking):
+    moduli = st.floats(0.1, 10.0)
+    phases = st.floats(0.0, 2.0 * math.pi)
+    f = SparsePolynomial(2, tuple(
+        (e, data.draw(moduli) * cmath.exp(1j * data.draw(phases))) for e in sorted(support)
+    ))
+    window = Window(-2.0, 2.5, -2.5, 2.0)
+    # a fibre's companion matrices take 2·angle_samples·(deg₂ + 1)² doubles
+    # or less, so this block holds `fibres` whole x-direction fibres (fewer
+    # or more in the swapped direction, whose degree differs)
+    fibre = 2 * angle_samples * (max(e[1] for e in support) + 1) ** 2
+    fibres = data.draw(st.integers(1, max(1, slices - 1)))
+    block = {"one fibre": 1, "mid-direction": fibres * fibre, "default": 2**21}[chunking]
+    ref, ref_messages = zero_phase_messages(
+        lambda: reference_sample_amoeba(f, h, window, slices, angle_samples)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amoeba, "_BLOCK_ELEMENTS", block)
+        sample, messages = zero_phase_messages(
+            lambda: sample_amoeba(f, h, window, slices, angle_samples)
+        )
+    points, found, kept = ref
+    assert sample.points.tobytes() == points.tobytes()
+    assert (sample.roots_found, sample.roots_kept) == (found, kept)
+    assert messages == ref_messages
+    assert sample.degenerate_phases == sum(int(m.split(": ")[1].split()[0]) for m in messages)
+
+
+def test_sample_amoeba_warns_per_fibre_in_order():
+    # (1 - z₁)(z₂ - 2) vanishes identically on the phase θ = 0 of the fibre
+    # x₁ = 0 and, sliced the other way, of the fibre x₂ = log 2
+    g = SparsePolynomial(
+        2, (((0, 1), 1.0), ((1, 1), -1.0), ((0, 0), -2.0), ((1, 0), 2.0))
+    )
+    window = Window(-1.0, 1.0, -math.log(2.0), math.log(2.0))
+    expected = [
+        "slice x1=0: 1 phase(s) gave an identically zero polynomial; skipped",
+        "slice x1=0.693147: 1 phase(s) gave an identically zero polynomial; skipped",
+    ]
+    (ref, _, _), ref_messages = zero_phase_messages(
+        lambda: reference_sample_amoeba(g, 1.0, window, 5, 8)
+    )
+    assert ref_messages == expected
+    for block in (1, 2**21):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(amoeba, "_BLOCK_ELEMENTS", block)
+            sample, messages = zero_phase_messages(lambda: sample_amoeba(g, 1.0, window, 5, 8))
+        assert messages == expected
+        assert sample.degenerate_phases == 2
+        assert sample.points.tobytes() == ref.tobytes()
+
+
+def test_sample_amoeba_memory_is_chunked():
+    # 200 fibres × 64 phases per direction of a dense degree-16 polynomial:
+    # the per-fibre loop peaked at 12.4 MiB (the points themselves); the
+    # stacked chunks may add one 16 MiB block of doubles, not a direction
+    rng = np.random.default_rng(16)
+    exps = [(i, j) for i in range(17) for j in range(17 - i)]
+    coeffs = np.exp(rng.uniform(-1.0, 1.0, len(exps)) + 1j * rng.uniform(0.0, 2.0 * math.pi, len(exps)))
+    f = SparsePolynomial(2, tuple(zip(exps, coeffs.tolist())))
+    tracemalloc.start()
+    try:
+        sample = sample_amoeba(f, 1.0, Window(-3.0, 3.0, -3.0, 3.0), 200, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.points.shape[0] > 300_000
+    assert peak <= (12.4 + 16.0) * 2**20
 
 
 # ---------------------------------------------------------------------------
