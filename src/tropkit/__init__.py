@@ -8,197 +8,25 @@ polytopes, amoebas — is the h = 0 shadow of a classical construction,
 and most modules expose both the limit object and the deformation that
 approaches it.
 """
-from .semiring import (
-    Semiring,
-    maxplus,
-    minplus,
-    subtropical,
-    subtropical_add,
-)
-from .errors import (
-    DivergenceError,
-    DomainTooSmallError,
-    InputFormatError,
-    ScaleRangeError,
-)
-from .linalg import (
-    SemiringMatrix,
-    mat_add,
-    mat_mul,
-    kleene_star,
-    solve_bellman,
-    parse_edge_list,
-    read_edge_list,
-    shortest_path_distances,
-)
-from .analysis import (
-    GridDomain,
-    GridFunction,
-    grid_tolerance,
-    idempotent_integral,
-    measure_integral,
-    scalar_product,
-    kernel_apply,
-    negate_convention,
-    sup_convolution,
-    legendre_transform,
-    grid_csv_text,
-    write_grid_csv,
-    read_grid_csv,
-)
-from .hamilton_jacobi import (
-    MechanicalSystem,
-    ActionState,
-    SuperpositionReport,
-    builtin_potential,
-    quadratic_kernel,
-    lax_oleinik_step,
-    lax_oleinik_evolve,
-    viscous_solve,
-    dequantize_solution,
-    superposition_check,
-)
-from .polytope import (
-    Polytope,
-    convex_hull,
-    minkowski_add,
-    minkowski_mul,
-    polytope_to_json,
-    polytope_from_json,
-)
-from .dequantize import (
-    SparsePolynomial,
-    poly_add,
-    poly_mul,
-    poly_evaluate,
-    poly_to_json,
-    poly_from_json,
-    read_poly_json,
-    write_poly_json,
-    dequantize_at,
-    dequantize_limit,
-    newton_polytope,
-    subdifferential_at_origin,
-)
-from .fractal import (
-    PointCloud,
-    SampledMeasure,
-    DimensionEstimate,
-    ResolutionWarning,
-    ball_volume,
-    covering_number,
-    hb_dimension,
-    local_dimension,
-    segment_points,
-    cantor_endpoints,
-    sierpinski_points,
-    square_points,
-    read_point_cloud,
-    read_sampled_measure,
-    write_point_cloud,
-)
-from .amoeba import (
-    Window,
-    TropicalPolynomial,
-    PlanarPLSet,
-    AmoebaSample,
-    tropical_data,
-    deform_polynomial,
-    slice_roots,
-    amoeba_slice,
-    sample_amoeba,
-    tropical_variety,
-    hausdorff_distance,
-    convergence_study,
-)
+from . import semiring, errors, linalg, analysis, hamilton_jacobi
+from . import polytope, dequantize, fractal, amoeba
+from .semiring import *
+from .errors import *
+from .linalg import *
+from .analysis import *
+from .hamilton_jacobi import *
+from .polytope import *
+from .dequantize import *
+from .fractal import *
+from .amoeba import *
 
 __version__ = "0.1.0"
 
+# Each public name is declared once, in its module's __all__.
 __all__ = [
-    "Semiring",
-    "maxplus",
-    "minplus",
-    "subtropical",
-    "subtropical_add",
-    "DivergenceError",
-    "DomainTooSmallError",
-    "InputFormatError",
-    "ScaleRangeError",
-    "SemiringMatrix",
-    "mat_add",
-    "mat_mul",
-    "kleene_star",
-    "solve_bellman",
-    "parse_edge_list",
-    "read_edge_list",
-    "shortest_path_distances",
-    "GridDomain",
-    "GridFunction",
-    "grid_tolerance",
-    "idempotent_integral",
-    "measure_integral",
-    "scalar_product",
-    "kernel_apply",
-    "negate_convention",
-    "sup_convolution",
-    "legendre_transform",
-    "grid_csv_text",
-    "write_grid_csv",
-    "read_grid_csv",
-    "MechanicalSystem",
-    "ActionState",
-    "SuperpositionReport",
-    "builtin_potential",
-    "quadratic_kernel",
-    "lax_oleinik_step",
-    "lax_oleinik_evolve",
-    "viscous_solve",
-    "dequantize_solution",
-    "superposition_check",
-    "Polytope",
-    "convex_hull",
-    "minkowski_add",
-    "minkowski_mul",
-    "polytope_to_json",
-    "polytope_from_json",
-    "SparsePolynomial",
-    "poly_add",
-    "poly_mul",
-    "poly_evaluate",
-    "poly_to_json",
-    "poly_from_json",
-    "read_poly_json",
-    "write_poly_json",
-    "dequantize_at",
-    "dequantize_limit",
-    "newton_polytope",
-    "subdifferential_at_origin",
-    "PointCloud",
-    "SampledMeasure",
-    "DimensionEstimate",
-    "ResolutionWarning",
-    "ball_volume",
-    "covering_number",
-    "hb_dimension",
-    "local_dimension",
-    "segment_points",
-    "cantor_endpoints",
-    "sierpinski_points",
-    "square_points",
-    "read_point_cloud",
-    "read_sampled_measure",
-    "write_point_cloud",
-    "Window",
-    "TropicalPolynomial",
-    "PlanarPLSet",
-    "AmoebaSample",
-    "tropical_data",
-    "deform_polynomial",
-    "slice_roots",
-    "amoeba_slice",
-    "sample_amoeba",
-    "tropical_variety",
-    "hausdorff_distance",
-    "convergence_study",
-    "__version__",
-]
+    name
+    for module in (
+        semiring, errors, linalg, analysis, hamilton_jacobi, polytope, dequantize, fractal, amoeba
+    )
+    for name in module.__all__
+] + ["__version__"]

@@ -54,6 +54,7 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-9
 _EXP_GUARD = 700.0  # beyond this, exp overflows double range
+_PROBES_PER_DIAGONAL = 2000  # hausdorff_distance probes a segment at diagonal / this
 
 
 @dataclass(frozen=True)
@@ -512,13 +513,13 @@ def _points_to_segment(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     return np.linalg.norm(points - proj, axis=1)
 
 
-def hausdorff_distance(sample, target, window: Window, pitch: float | None = None) -> float:
+def hausdorff_distance(sample, target, window: Window) -> float:
     """Symmetric Hausdorff distance of two planar sets clipped to a window.
 
     ``sample`` is an :class:`AmoebaSample` or an ``(k, 2)`` point array;
     ``target`` is a :class:`PlanarPLSet` or a point array.  Point-to-segment
     distances are exact; the segment-to-points direction discretizes each
-    clipped segment at ``pitch`` (default: window diagonal / 2000).
+    clipped segment at a pitch of the window diagonal / 2000.
 
     Raises
     ------
@@ -530,8 +531,7 @@ def hausdorff_distance(sample, target, window: Window, pitch: float | None = Non
     pts = pts[window.contains(pts)]
     if pts.shape[0] == 0:
         raise ValueError("sample is empty after clipping to the window")
-    if pitch is None:
-        pitch = window.diagonal / 2000.0
+    pitch = window.diagonal / _PROBES_PER_DIAGONAL
 
     if isinstance(target, PlanarPLSet):
         segs = _clipped_primitives(target, window)

@@ -29,7 +29,6 @@ __all__ = [
     "grid_tolerance",
     "idempotent_integral",
     "measure_integral",
-    "scalar_product",
     "kernel_apply",
     "sup_convolution",
     "legendre_transform",
@@ -174,14 +173,12 @@ def idempotent_integral(phi: GridFunction) -> float:
 
 
 def measure_integral(phi: GridFunction, psi: GridFunction) -> float:
-    """∫^⊕ φ ⊙ dψ = ⊕_x (φ(x) ⊙ ψ(x)) against the density ψ."""
+    """∫^⊕ φ ⊙ dψ = ⊕_x (φ(x) ⊙ ψ(x)) against the density ψ.
+
+    This is the idempotent scalar product ⟨φ, ψ⟩.
+    """
     spec = _require_same_grid(phi, psi)
     return float(spec.reduce(spec.mul(phi.values, psi.values)))
-
-
-def scalar_product(phi: GridFunction, psi: GridFunction) -> float:
-    """The idempotent scalar product ⟨φ, ψ⟩ = ⊕_x (φ(x) ⊙ ψ(x))."""
-    return measure_integral(phi, psi)
 
 
 def kernel_apply(kernel: GridFunction, phi: GridFunction) -> GridFunction:

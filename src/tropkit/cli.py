@@ -22,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, amoeba, dequantize, fractal, hamilton_jacobi, linalg, semiring
+from . import analysis, amoeba, dequantize, fractal, hamilton_jacobi, linalg, polytope, semiring
 from .errors import DivergenceError, DomainTooSmallError, InputFormatError, ScaleRangeError
 from .errors import _load_json
+from .svgplot import polygon_svg, svg_scene
 
 __all__ = ["main"]
 
@@ -53,11 +54,10 @@ def _emit(args, text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _write_svg(args, text: str) -> None:
-    if getattr(args, "svg", None):
-        path = _resolve_output(args.svg)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+def _write_svg(target: str, text: str) -> None:
+    path = _resolve_output(target)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -82,6 +82,8 @@ def _parse_grid_domain(text: str) -> analysis.GridDomain:
             points = p
         elif p != points:
             raise ValueError("all axes must share one point count")
+    if points is None:
+        raise ValueError("grid spec names no axis; expected lo:hi:points[,...]")
     return analysis.GridDomain(lowers, uppers, points)
 
 
@@ -304,9 +306,7 @@ def cmd_dequantize(args) -> int:
 
 
 def _polytope_json_text(p) -> str:
-    from .polytope import polytope_to_json
-
-    return json.dumps(polytope_to_json(p), indent=2) + "\n"
+    return json.dumps(polytope.polytope_to_json(p), indent=2) + "\n"
 
 
 def cmd_newton(args) -> int:
@@ -314,25 +314,21 @@ def cmd_newton(args) -> int:
     f = dequantize.read_poly_json(args.poly)
     p = dequantize.newton_polytope(f)
     _emit(args, _polytope_json_text(p))
-    if getattr(args, "svg", None) and p.dim == 2:
-        from .svgplot import polygon_svg
-
-        _write_svg(args, polygon_svg([(float(a), float(b)) for a, b in p.vertices]))
+    if args.svg and p.dim == 2:
+        _write_svg(args.svg, polygon_svg([(float(a), float(b)) for a, b in p.vertices]))
     return 0
 
 
 def cmd_minkowski(args) -> int:
     _require(args, "poly_p", "poly_q")
-    from .polytope import minkowski_add, minkowski_mul, polytope_from_json
-
     operands = []
     for path in (args.poly_p, args.poly_q):
         obj = _load_json(path)
         try:
-            operands.append(polytope_from_json(obj))
+            operands.append(polytope.polytope_from_json(obj))
         except ValueError as exc:
             raise InputFormatError(str(exc), path=str(path)) from None
-    out = (minkowski_mul if args.op == "mul" else minkowski_add)(*operands)
+    out = (polytope.minkowski_mul if args.op == "mul" else polytope.minkowski_add)(*operands)
     _emit(args, _polytope_json_text(out))
     return 0
 
@@ -395,10 +391,8 @@ def cmd_amoeba(args) -> int:
     lines = ["x1,x2"]
     lines.extend(f"{x:.12g},{y:.12g}" for x, y in sample.points.tolist())
     _emit(args, "\n".join(lines) + "\n")
-    if getattr(args, "svg", None):
-        from .svgplot import svg_scene
-
-        _write_svg(args, svg_scene(window, points=sample.points))
+    if args.svg:
+        _write_svg(args.svg, svg_scene(window, points=sample.points))
     return 0
 
 
@@ -407,11 +401,9 @@ def cmd_tropical_curve(args) -> int:
     tf = _read_tropical_poly(args.poly)
     pl = amoeba.tropical_variety(tf)
     _emit(args, json.dumps(pl.to_json(), indent=2) + "\n")
-    if getattr(args, "svg", None):
-        from .svgplot import svg_scene
-
+    if args.svg:
         window = amoeba.Window.parse(args.window) if args.window else amoeba.Window(-5, 5, -5, 5)
-        _write_svg(args, svg_scene(window, pl_set=pl))
+        _write_svg(args.svg, svg_scene(window, pl_set=pl))
     return 0
 
 
@@ -424,15 +416,13 @@ def cmd_converge(args) -> int:
     lines = ["h,hausdorff"]
     lines.extend(f"{_fmt(h)},{_fmt(d)}" for h, d in rows)
     _emit(args, "\n".join(lines) + "\n")
-    if getattr(args, "svg", None):
-        from .svgplot import svg_scene
-
+    if args.svg:
         h_last = h_values[-1]
         sample = amoeba.sample_amoeba(
             amoeba.deform_polynomial(f, h_last), h_last, window, args.slices, args.angles
         )
         spine = amoeba.tropical_variety(amoeba.tropical_data(f))
-        _write_svg(args, svg_scene(window, points=sample.points, pl_set=spine))
+        _write_svg(args.svg, svg_scene(window, points=sample.points, pl_set=spine))
     return 0
 
 
@@ -569,24 +559,21 @@ def _selftest_dequantize():
 
 
 def _selftest_newton():
-    from .polytope import Polytope
-
     mono = dequantize.SparsePolynomial(2, (((3, 1), 2.0),))
     line = dequantize.SparsePolynomial(1, (((0,), 1.0), ((1,), 1.0)))
+    point, segment = polytope.Polytope(2, [(3, 1)]), polytope.Polytope(1, [(0,), (1,)])
     return [
-        ("monomial gives a point", dequantize.newton_polytope(mono) == Polytope(2, [(3, 1)])),
-        ("1 + x gives [0, 1]", dequantize.newton_polytope(line) == Polytope(1, [(0,), (1,)])),
+        ("monomial gives a point", dequantize.newton_polytope(mono) == point),
+        ("1 + x gives [0, 1]", dequantize.newton_polytope(line) == segment),
     ]
 
 
 def _selftest_minkowski():
-    from .polytope import Polytope, minkowski_add, minkowski_mul
-
-    tri = Polytope(2, [(0, 0), (1, 0), (0, 1)])
-    origin = Polytope(2, [(0, 0)])
+    tri = polytope.Polytope(2, [(0, 0), (1, 0), (0, 1)])
+    origin = polytope.Polytope(2, [(0, 0)])
     return [
-        ("P ⊙ {0} = P", minkowski_mul(tri, origin) == tri),
-        ("P ⊕ P = P", minkowski_add(tri, tri) == tri),
+        ("P ⊙ {0} = P", polytope.minkowski_mul(tri, origin) == tri),
+        ("P ⊕ P = P", polytope.minkowski_add(tri, tri) == tri),
     ]
 
 

@@ -607,12 +607,11 @@ def test_hausdorff_two_points():
 def test_hausdorff_point_to_pl_target():
     pl = tropical_variety(TROP_LINE)
     on_spine = np.array([[0.0, 0.0], [-1.0, 0.0], [1.5, 1.5]])
-    d = hausdorff_distance(on_spine, pl, WIN, pitch=0.01)
+    d = hausdorff_distance(on_spine, pl, WIN)
     # the points sit on the set, so only the probe direction contributes:
     # the worst probe is the clipped ray end (0, -3), three units from (0, 0)
     assert d == pytest.approx(3.0, abs=0.05)
     off = np.array([[0.0, 1.0]])
-    bigwin = Window(-0.5, 0.5, -0.5, 1.5)
     with pytest.raises(ValueError):
         hausdorff_distance(off, pl, Window(5.0, 6.0, 5.0, 6.0))  # empty clip
 

@@ -20,7 +20,6 @@ from tropkit import (
     minplus,
     negate_convention,
     read_grid_csv,
-    scalar_product,
     subtropical,
     sup_convolution,
     write_grid_csv,
@@ -121,8 +120,7 @@ def test_scalar_product_quarter():
     phi = GridFunction.sample(lambda x: -(x**2), dom, MP)
     psi = GridFunction.sample(lambda x: x, dom, MP)
     # sup(-x² + x) = 1/4 at x = 1/2, a grid point
-    assert scalar_product(phi, psi) == pytest.approx(0.25, abs=1e-12)
-    assert measure_integral(phi, psi) == scalar_product(phi, psi)
+    assert measure_integral(phi, psi) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_integral_against_bottom():
@@ -130,17 +128,17 @@ def test_integral_against_bottom():
     bottom = GridFunction.constant(-math.inf, dom, MP)
     assert idempotent_integral(bottom) == -math.inf
     phi = GridFunction.sample(lambda x: x, dom, MP)
-    assert scalar_product(phi, bottom) == -math.inf
+    assert measure_integral(phi, bottom) == -math.inf
 
 
 def test_integral_grid_mismatch():
     a = GridFunction.constant(0.0, GridDomain(0.0, 1.0, 5), MP)
     b = GridFunction.constant(0.0, GridDomain(0.0, 2.0, 5), MP)
     with pytest.raises(ValueError):
-        scalar_product(a, b)
+        measure_integral(a, b)
     c = GridFunction.constant(0.0, GridDomain(0.0, 1.0, 5), MN)
     with pytest.raises(ValueError):
-        scalar_product(a, c)
+        measure_integral(a, c)
 
 
 # ---------------------------------------------------------------------------

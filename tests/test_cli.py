@@ -128,6 +128,16 @@ def test_legendre_round_trip(tmp_path, capsys):
     assert np.max(np.abs(got.values - xi**2 / 2.0)) <= 0.02
 
 
+
+@pytest.mark.parametrize("xi", ["--xi=", "--xi=,", "--xi=1:2"])
+def test_legendre_malformed_xi_exits_one(tmp_path, capsys, xi):
+    src = tmp_path / "phi.csv"
+    write_grid_csv(GridFunction.sample(lambda x: -(x**2), GridDomain(-1.0, 1.0, 11), maxplus()), src)
+    assert main(["legendre", str(src), xi]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 def test_convolve(tmp_path, capsys):
     dom = GridDomain(-1.0, 1.0, 41)
     phi = GridFunction.sample(lambda x: -(x**2), dom, maxplus())

@@ -21,3 +21,18 @@ def test_every_export_resolves():
 def test_package_exports_are_the_modules_exports():
     union = set().union(*(m.__all__ for m in library_modules()))
     assert set(tropkit.__all__) - {"__version__"} == union
+
+
+def test_package_binds_the_modules_own_objects():
+    # bench/tracer.py patches a function wherever it is bound, so the
+    # package must hold the very objects its modules define
+    for module in library_modules():
+        for name in module.__all__:
+            assert getattr(tropkit, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from tropkit import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(tropkit.__all__)
