@@ -59,7 +59,8 @@ _PROBES_PER_DIAGONAL = 2000  # hausdorff_distance probes a segment at diagonal /
 
 @dataclass(frozen=True)
 class Window:
-    """An axis-aligned viewing rectangle ``[xmin, xmax] × [ymin, ymax]``."""
+    """An axis-aligned viewing rectangle ``[xmin, xmax] × [ymin, ymax]``
+    with finite bounds."""
 
     xmin: float
     xmax: float
@@ -71,6 +72,8 @@ class Window:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("window must have positive width and height")
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
+            raise ValueError("window bounds must be finite")
 
     @classmethod
     def parse(cls, text: str) -> "Window":
@@ -319,7 +322,7 @@ def amoeba_slice(
 
 @dataclass
 class AmoebaSample:
-    """A sampled amoeba: points, the scale h, and the window that clips it.
+    """A sampled amoeba: the points inside the window, and root counts.
 
     ``roots_found`` counts the nonzero roots with a finite residual over all
     fibres, ``roots_kept`` those of them that passed the 1e-9 residual
@@ -328,8 +331,6 @@ class AmoebaSample:
     """
 
     points: np.ndarray
-    h: float
-    window: Window
     roots_found: int = 0
     roots_kept: int = 0
     degenerate_phases: int = 0
@@ -380,7 +381,7 @@ def sample_amoeba(
     points = (
         np.concatenate(collected, axis=0) if collected else np.empty((0, 2))
     )
-    return AmoebaSample(points, h, window, found, kept, degenerate)
+    return AmoebaSample(points, found, kept, degenerate)
 
 
 # -- the tropical side -------------------------------------------------------

@@ -12,7 +12,7 @@ boxes, and the Legendre-type transform in both sign conventions.
 Grid-induced error: a piecewise evaluation of a supremum misses the true
 maximizer by at most half a grid step, so results agree with closed forms to
 ``L·σ`` for an ``L``-Lipschitz integrand on spacing ``σ``.
-:func:`grid_tolerance` packages that bound (default ``L = 10``).
+:func:`grid_tolerance` packages that bound with ``L = 10``.
 """
 from __future__ import annotations
 
@@ -154,9 +154,10 @@ class GridFunction:
         )
 
 
-def grid_tolerance(domain: GridDomain, lipschitz: float = 10.0) -> float:
-    """The sup-norm error budget ``L·σ`` for grid-evaluated suprema."""
-    return lipschitz * max(domain.spacing)
+def grid_tolerance(domain: GridDomain) -> float:
+    """The sup-norm error budget ``L·σ`` for grid-evaluated suprema, with the
+    Lipschitz constant fixed at ``L = 10``."""
+    return 10.0 * max(domain.spacing)
 
 
 def _require_same_grid(a: GridFunction, b: GridFunction) -> Semiring:
@@ -470,8 +471,9 @@ def read_grid_csv(path, spec: Semiring | None = None) -> GridFunction:
         try:
             values[k] = float(token)
         except ValueError:
+            lineno = [i for i, t in enumerate(lines[1:], start=2) if t.strip()][k]
             raise InputFormatError(
-                f"bad value {token!r}", path=str(path), line=k + 2
+                f"bad value {token!r}", path=str(path), line=lineno
             ) from None
     try:
         return GridFunction(dom, values, spec)

@@ -47,7 +47,7 @@ class SparsePolynomial:
     """A sparse Laurent-free polynomial: distinct exponent vectors ≥ 0.
 
     ``terms`` maps canonically sorted integer exponent tuples to nonzero
-    complex coefficients.
+    finite complex coefficients.
     """
 
     dim: int
@@ -65,6 +65,8 @@ class SparsePolynomial:
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {exps!r}")
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError("coefficients must be finite")
             if c == 0:
                 raise ValueError("zero coefficients are not stored")
             if key in seen:
@@ -207,7 +209,7 @@ def newton_polytope(f: SparsePolynomial) -> Polytope:
     return convex_hull(f.support, dim=f.dim)
 
 
-_DEFAULT_DIRECTIONS = {1: 2, 2: 720, 3: 20000}
+_DIRECTIONS = {1: 2, 2: 720, 3: 20000}
 
 
 def _direction_samples(dim: int, count: int) -> np.ndarray:
@@ -225,9 +227,7 @@ def _direction_samples(dim: int, count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def subdifferential_at_origin(
-    f: SparsePolynomial, directions: int | None = None
-) -> Polytope:
+def subdifferential_at_origin(f: SparsePolynomial) -> Polytope:
     """The subdifferential of ``max_a ⟨a, x⟩`` at 0 via support sampling.
 
     For each sampled direction u the maximizer of ``⟨a, u⟩`` over the support
@@ -237,11 +237,7 @@ def subdifferential_at_origin(
     """
     if f.dim > 3:
         raise ValueError("exact hulls are implemented for dimensions 1 to 3")
-    if directions is None:
-        directions = _DEFAULT_DIRECTIONS[f.dim]
-    if directions < 2:
-        raise ValueError("need at least two directions")
-    dirs = _direction_samples(f.dim, directions)
+    dirs = _direction_samples(f.dim, _DIRECTIONS[f.dim])
     exps = f.exponent_array()
     scores = dirs @ exps.T  # (directions, terms)
     chosen = np.unique(scores.argmax(axis=1))

@@ -49,10 +49,9 @@ class ResolutionWarning(UserWarning):
 
 @dataclass
 class PointCloud:
-    """Finite point set in R^n with optional provenance metadata."""
+    """Finite point set in R^n with an optional resolution hint."""
 
     points: np.ndarray
-    generator: str | None = None
     resolution_hint: float | None = None
 
     def __post_init__(self):
@@ -105,11 +104,7 @@ def segment_points(n: int) -> PointCloud:
     """n equispaced points on the unit segment."""
     if n < 2:
         raise ValueError("need at least two points")
-    return PointCloud(
-        np.linspace(0.0, 1.0, n)[:, None],
-        generator=f"segment {n}",
-        resolution_hint=1.0 / (n - 1),
-    )
+    return PointCloud(np.linspace(0.0, 1.0, n)[:, None], resolution_hint=1.0 / (n - 1))
 
 
 def cantor_endpoints(depth: int) -> PointCloud:
@@ -125,11 +120,7 @@ def cantor_endpoints(depth: int) -> PointCloud:
             nxt.append((b - third, b))
         intervals = nxt
     pts = sorted({x for ab in intervals for x in ab})
-    return PointCloud(
-        np.array(pts)[:, None],
-        generator=f"cantor {depth}",
-        resolution_hint=3.0**-depth,
-    )
+    return PointCloud(np.array(pts)[:, None], resolution_hint=3.0**-depth)
 
 
 def sierpinski_points(depth: int) -> PointCloud:
@@ -142,7 +133,7 @@ def sierpinski_points(depth: int) -> PointCloud:
         scaled = pts / 2.0
         pts = np.concatenate([scaled + corner / 2.0 for corner in corners])
         pts = np.unique(np.round(pts, 12), axis=0)
-    return PointCloud(pts, generator=f"sierpinski {depth}", resolution_hint=2.0**-depth)
+    return PointCloud(pts, resolution_hint=2.0**-depth)
 
 
 def square_points(n: int) -> PointCloud:
@@ -152,9 +143,7 @@ def square_points(n: int) -> PointCloud:
     side = np.linspace(0.0, 1.0, n)
     gx, gy = np.meshgrid(side, side, indexing="ij")
     return PointCloud(
-        np.stack([gx.ravel(), gy.ravel()], axis=1),
-        generator=f"square {n}",
-        resolution_hint=1.0 / (n - 1),
+        np.stack([gx.ravel(), gy.ravel()], axis=1), resolution_hint=1.0 / (n - 1)
     )
 
 
@@ -297,7 +286,11 @@ def _read_rows(path) -> list[list[float]]:
 
 def read_point_cloud(path) -> PointCloud:
     """Read one point per row (comma or whitespace separated; ``#`` comments)."""
-    return PointCloud(np.array(_read_rows(path)))
+    rows = np.array(_read_rows(path))
+    try:
+        return PointCloud(rows)
+    except ValueError as exc:
+        raise InputFormatError(str(exc), path=str(path)) from None
 
 
 def read_sampled_measure(path) -> SampledMeasure:

@@ -58,7 +58,8 @@ class MechanicalSystem:
     The system holds no semiring: an action evolves in the one it carries.
     A min-plus action is a cost-to-go (kernel added), a max-plus action is
     being maximized (kernel subtracted), and a ``subtropical(h)`` action
-    deforms max-plus.  The horizon must be an integer number of steps.
+    deforms max-plus.  Masses, step and horizon must be finite, and the
+    horizon an integer number of steps.
     """
 
     masses: tuple[float, ...]
@@ -76,6 +77,10 @@ class MechanicalSystem:
             raise ValueError("dt must be positive")
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        finite = {"masses": self.masses, "dt": (self.dt,), "horizon": (self.horizon,)}
+        for name, values in finite.items():
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("horizon must be an integer multiple of dt")

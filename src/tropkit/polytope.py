@@ -235,6 +235,6 @@ def polytope_from_json(obj: dict) -> Polytope:
     try:
         dim = int(obj["dim"])
         verts = [[Fraction(str(c)) for c in v] for v in obj["vertices"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed polytope JSON: {exc}") from None
     return Polytope(dim, verts)

@@ -1,6 +1,8 @@
 """A tiny deterministic SVG writer for 2-D previews (no plotting deps)."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .amoeba import PlanarPLSet, Window, _clipped_primitives
@@ -9,6 +11,8 @@ __all__ = ["svg_scene", "polygon_svg"]
 
 _SIZE = 640.0
 _PAD = 20.0
+_POINT_COLOR = "#1f77b4"
+_LINE_COLOR = "#d62728"
 
 
 def _mapper(window: Window):
@@ -27,8 +31,6 @@ def svg_scene(
     window: Window,
     points: np.ndarray | None = None,
     pl_set: PlanarPLSet | None = None,
-    point_color: str = "#1f77b4",
-    line_color: str = "#d62728",
 ) -> str:
     """Render a point cloud and/or a PL set clipped to the window."""
     to_px = _mapper(window)
@@ -43,35 +45,29 @@ def svg_scene(
         pts = pts[window.contains(pts)]
         for x, y in pts:
             px, py = to_px(x, y)
-            parts.append(f'<circle cx="{px}" cy="{py}" r="1.5" fill="{point_color}"/>')
+            parts.append(f'<circle cx="{px}" cy="{py}" r="1.5" fill="{_POINT_COLOR}"/>')
     if pl_set is not None:
         for a, b in _clipped_primitives(pl_set, window):
             ax, ay = to_px(a[0], a[1])
             bx, by = to_px(b[0], b[1])
             parts.append(
                 f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
-                f'stroke="{line_color}" stroke-width="2"/>'
+                f'stroke="{_LINE_COLOR}" stroke-width="2"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def polygon_svg(vertices, window: Window | None = None) -> str:
-    """Render a convex polygon (or segment/point) from float vertex pairs."""
+def polygon_svg(vertices) -> str:
+    """Render a convex polygon (or segment/point) from float vertex pairs,
+    in the vertices' bounding box widened by 1 on every side."""
     verts = [(float(x), float(y)) for x, y in vertices]
-    if window is None:
-        xs = [v[0] for v in verts]
-        ys = [v[1] for v in verts]
-        margin = 1.0
-        window = Window(
-            min(xs) - margin, max(xs) + margin, min(ys) - margin, max(ys) + margin
-        )
-    to_px = _mapper(window)
+    xs = [v[0] for v in verts]
+    ys = [v[1] for v in verts]
+    to_px = _mapper(Window(min(xs) - 1.0, max(xs) + 1.0, min(ys) - 1.0, max(ys) + 1.0))
     # order boundary counterclockwise around the centroid for the outline
-    cx = sum(v[0] for v in verts) / len(verts)
-    cy = sum(v[1] for v in verts) / len(verts)
-    import math
-
+    cx = sum(xs) / len(verts)
+    cy = sum(ys) / len(verts)
     ordered = sorted(verts, key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
     path = " ".join(",".join(to_px(x, y)) for x, y in ordered)
     return (

@@ -291,7 +291,6 @@ def test_sample_zero_slices_empty():
 def test_sample_respects_window():
     sample = sample_amoeba(LINE, 1.0, WIN, 40, 16)
     assert isinstance(sample, AmoebaSample)
-    assert sample.h == 1.0
     assert np.all(WIN.contains(sample.points))
     assert sample.points.shape[0] > 100
 
@@ -614,6 +613,39 @@ def test_hausdorff_point_to_pl_target():
     off = np.array([[0.0, 1.0]])
     with pytest.raises(ValueError):
         hausdorff_distance(off, pl, Window(5.0, 6.0, 5.0, 6.0))  # empty clip
+
+
+TROP_CONIC = TropicalPolynomial(
+    2,
+    (((0, 0), 0.0), ((1, 0), 1.0), ((0, 1), 1.0), ((2, 0), 0.0), ((1, 1), 1.0), ((0, 2), 0.0)),
+)
+
+
+def test_hausdorff_dense_sample_of_conic_with_bounded_edges():
+    pl = tropical_variety(TROP_CONIC)
+    assert pl.vertices == [(-1.0, -1.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    assert pl.edges == [(0, 1), (1, 2), (1, 3)]
+    assert len(pl.rays) == 6
+    pitch = WIN.diagonal / 2000  # the probe pitch along each clipped segment
+    verts = np.array(pl.vertices)
+    pieces = []
+    for i, j in pl.edges:
+        ts = np.linspace(0.0, 1.0, 1000)
+        pieces.append(verts[i] + ts[:, None] * (verts[j] - verts[i]))
+    for base, direction in pl.rays:
+        ts = np.arange(0.0, 6.0, pitch / 2)  # every ray leaves WIN before t = 6
+        pieces.append(verts[base] + ts[:, None] * np.array(direction, dtype=float))
+    dense = np.concatenate(pieces)
+    assert hausdorff_distance(dense, pl, WIN) <= pitch
+    # the vertices alone: the farthest probes are the clipped ray ends
+    # (-3, 1), (2, 3), (1, -3) and (3, 2), each 2√2 from its nearest vertex
+    assert hausdorff_distance(verts, pl, WIN) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+
+
+def test_hausdorff_to_an_isolated_vertex():
+    pl = PlanarPLSet([(0.0, 0.0)], [], [])
+    win = Window(-1.0, 5.0, -1.0, 5.0)
+    assert hausdorff_distance(np.array([[3.0, 4.0]]), pl, win) == 5.0
 
 
 def test_hausdorff_empty_inputs():

@@ -57,8 +57,7 @@ def test_domain_basics():
     assert dom.dim == 1
     assert dom.spacing == (0.05,)
     assert dom.shape == (41,)
-    assert grid_tolerance(dom) == pytest.approx(0.5)  # default L = 10
-    assert grid_tolerance(dom, lipschitz=2.0) == pytest.approx(0.1)
+    assert grid_tolerance(dom) == pytest.approx(0.5)  # L = 10
 
     sq = GridDomain((-1.0, 0.0), (1.0, 2.0), 5)
     assert sq.dim == 2

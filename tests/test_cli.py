@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,37 @@ def test_tropical_curve_command(tmp_path, capsys):
     assert len(obj["rays"]) == 3
 
 
+def test_svg_previews(poly_file, tmp_path, capsys):
+    newton_svg = tmp_path / "newton.svg"
+    assert main(["newton", poly_file, "--svg", str(newton_svg)]) == 0
+    text = newton_svg.read_text()
+    assert text.count("<polygon ") == 1 and "<line " not in text and "<circle " not in text
+    (points,) = re.findall(r'<polygon points="([^"]*)"', text)
+    assert len(points.split()) == 3  # the triangle's vertices
+
+    conic = tmp_path / "conic.json"
+    conic.write_text(json.dumps({"dim": 2, "terms": [
+        {"exp": e, "coeff": c}
+        for e, c in [([0, 0], 0), ([1, 0], 1), ([0, 1], 1), ([2, 0], 0), ([1, 1], 1), ([0, 2], 0)]
+    ]}))
+    curve_svg = tmp_path / "curve.svg"
+    assert main(["tropical-curve", str(conic), "--svg", str(curve_svg)]) == 0
+    text = curve_svg.read_text()
+    assert text.count("<line ") == 3 + 6  # bounded edges and rays, all inside the window
+    assert "<circle " not in text and "<polygon " not in text
+
+    converge_svg = tmp_path / "converge.svg"
+    argv = ["converge", poly_file, "--h", "1,0.5", "--window=-3,3,-3,3", "--slices", "10", "--angles", "6"]
+    assert main([*argv, "--svg", str(converge_svg)]) == 0
+    capsys.readouterr()
+    window = tropkit.Window(-3.0, 3.0, -3.0, 3.0)
+    f = tropkit.read_poly_json(poly_file)
+    sample = tropkit.sample_amoeba(tropkit.deform_polynomial(f, 0.5), 0.5, window, 10, 6)
+    text = converge_svg.read_text()
+    assert text.count("<circle ") == len(sample.points) > 0
+    assert text.count("<line ") == 3  # the tropical line's three rays
+
+
 def test_tropical_curve_bad_json(tmp_path, capsys):
     tp = tmp_path / "broken.json"
     tp.write_text("{not json")
@@ -423,3 +455,101 @@ def test_divergent_graph_exits_one(tmp_path, capsys):
 def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input: every file-reading invocation against one corpus
+# ---------------------------------------------------------------------------
+
+MALFORMED_FILES = {
+    "empty": "",
+    "garbage": "%%% not a tropkit file %%%\n",
+    "json-list": "[1, 2, 3]\n",
+    "json-wrong-shape": '{"dim": 2, "terms": 7, "vertices": 7}\n',
+    "poly-nan": '{"dim": 2, "terms": [{"exp": [1, 0], "re": NaN}, {"exp": [0, 0], "re": 1.0}]}\n',
+    "poly-infinity": (
+        '{"dim": 2, "terms": [{"exp": [1, 0], "re": Infinity}, '
+        '{"exp": [0, 1], "re": 1.0}, {"exp": [0, 0], "re": 1.0}]}\n'
+    ),
+    "tropical-nan": '{"dim": 2, "terms": [{"exp": [1, 0], "coeff": NaN}, {"exp": [0, 0], "coeff": 0}]}\n',
+    "polytope-1/0": '{"dim": 2, "vertices": [[0, 0], ["1/0", 0], [0, 1]]}\n',
+    "scenario-horizon-inf": "masses 1.0\ndt 0.5\nhorizon inf\n",
+    "scenario-horizon-nan": "masses 1.0\ndt 0.5\nhorizon nan\n",
+    "scenario-masses-inf": "masses inf\ndt 0.5\nhorizon 1.0\n",
+    "grid-bad-token": "1,-1.0,1.0,3\n0.0\n\n\n1.0\nx\n",
+    "points-nan": "# cloud\n\n0.0,0.0\nnan,1.0\n",
+    "rows-bad-token": "# rows\n\n0.5 1\n\n0.25 x\n",
+}
+
+MALFORMED_INVOCATIONS = {
+    "shortest-path": ["shortest-path", "{bad}", "--source", "A"],
+    "legendre": ["legendre", "{bad}", "--xi=-1:1:5"],
+    "convolve-a": ["convolve", "{bad}", "{grid}"],
+    "convolve-b": ["convolve", "{grid}", "{bad}"],
+    "hj-evolve-scenario": ["hj-evolve", "{bad}", "{grid}"],
+    "hj-evolve-initial": ["hj-evolve", "{scenario}", "{bad}"],
+    "hj-viscous-scenario": ["hj-viscous", "{bad}", "{grid}"],
+    "hj-viscous-initial": ["hj-viscous", "{scenario}", "{bad}"],
+    "dequantize": ["dequantize", "{bad}", "--point", "0,0", "--h", "0.5"],
+    "newton": ["newton", "{bad}"],
+    "minkowski-p": ["minkowski", "{bad}", "{polytope}"],
+    "minkowski-q": ["minkowski", "{polytope}", "{bad}"],
+    "fractal-dim": ["fractal-dim", "{bad}", "--scales", "1,2"],
+    "fractal-dim-local": ["fractal-dim", "{bad}", "--point", "0", "--scales", "1,2"],
+    "amoeba": ["amoeba", "{bad}", "--window=-2,2,-2,2", "--slices", "4", "--angles", "4"],
+    "tropical-curve": ["tropical-curve", "{bad}"],
+    "converge": [
+        "converge", "{bad}", "--window=-2,2,-2,2", "--h", "1", "--slices", "4", "--angles", "4"
+    ],
+}
+
+
+@pytest.mark.parametrize("invocation", list(MALFORMED_INVOCATIONS))
+def test_malformed_input_is_one_error_line(tmp_path, capsys, invocation):
+    """Exit 1 or 2, no traceback, no warning, and one ``error:`` line that
+    starts with the malformed file's path."""
+    files = {
+        "scenario": tmp_path / "scenario.txt",
+        "grid": tmp_path / "grid.csv",
+        "polytope": tmp_path / "polytope.json",
+    }
+    files["scenario"].write_text("masses 1.0\ndt 0.5\nhorizon 1.0\n")
+    write_grid_csv(GridFunction.constant(1.0, GridDomain(-1.0, 1.0, 5), maxplus()), files["grid"])
+    files["polytope"].write_text('{"dim": 2, "vertices": [[0, 0], [1, 0]]}\n')
+    failures = []
+    for name, text in MALFORMED_FILES.items():
+        bad = tmp_path / f"bad-{name.replace('/', '-')}.txt"
+        bad.write_text(text)
+        paths = {"bad": str(bad), **{k: str(v) for k, v in files.items()}}
+        argv = [arg.format(**paths) for arg in MALFORMED_INVOCATIONS[invocation]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception as exc:  # noqa: BLE001 - a traceback is the failure
+                code = f"raised {type(exc).__name__}: {exc}"
+        out, err = capsys.readouterr()
+        # a warning would print its own stderr lines in a real process
+        lines = [str(w.message) for w in caught] + err.splitlines()
+        if (
+            code not in (1, 2)
+            or len(lines) != 1
+            or not lines[0].startswith(f"error: {bad}:")
+            or out
+        ):
+            failures.append(f"{name}: exit {code}, stderr {lines!r}, stdout {out[:40]!r}")
+    assert not failures, "\n".join(failures)
+
+
+def test_grid_bad_value_names_its_file_line(tmp_path, capsys):
+    bad = tmp_path / "g.csv"
+    bad.write_text(MALFORMED_FILES["grid-bad-token"])  # 'x' on line 6, after two blank lines
+    assert main(["legendre", str(bad), "--xi=-1:1:5"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:6: bad value 'x'\n"
+
+
+def test_infinite_window_is_one_error_line(poly_file, capsys):
+    assert main(["amoeba", poly_file, "--window=0,inf,0,1", "--slices", "4", "--angles", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: window bounds must be finite\n"

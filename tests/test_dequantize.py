@@ -345,12 +345,6 @@ def test_subdifferential_3d():
     assert subdifferential_at_origin(f) == newton_polytope(f)
 
 
-def test_subdifferential_direction_budget():
-    f = SparsePolynomial(2, (((0, 0), 1.0), ((1, 0), 1.0)))
-    with pytest.raises(ValueError):
-        subdifferential_at_origin(f, directions=1)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ def test_point_cloud_shapes():
 def test_generators_metadata():
     seg = segment_points(11)
     assert seg.resolution_hint == pytest.approx(0.1)
-    assert seg.generator == "segment 11"
     cant = cantor_endpoints(4)
     assert cant.resolution_hint == pytest.approx(3.0**-4)
     assert len(cant) == 2 ** (4 + 1)  # 2^{d+1} interval endpoints survive dedup
