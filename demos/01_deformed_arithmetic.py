@@ -16,19 +16,19 @@ that makes the degeneration quantitative.
 """
 import numpy as np
 
-from tropkit import maxplus, subtropical_add
+from tropkit import maxplus, subtropical
 
 u, v = 3.0, 5.0
 print(f"u = {u}, v = {v}, max = {max(u, v)}")
 print()
 print("  h      u ⊕_h v          excess over max")
 for h in (4.0, 1.0, 0.25, 0.0625, 1e-3):
-    s = subtropical_add(u, v, h)
+    s = subtropical(h).add(u, v)
     print(f"{h:7.4f}  {s:.12f}  {s - max(u, v):.2e}")
 
 # the excess is exactly h·log 2 when the arguments tie
 print()
-tie = subtropical_add(1.0, 1.0, 0.5)
+tie = subtropical(0.5).add(1.0, 1.0)
 print(f"tie at u = v = 1, h = 0.5:  {tie:.12f}  (1 + 0.5·log 2 = {1 + 0.5 * np.log(2):.12f})")
 
 # and the bound holds pairwise on a big random sample, not just on averages
@@ -36,7 +36,7 @@ rng = np.random.default_rng(0)
 a = rng.uniform(-40, 40, 100_000)
 b = rng.uniform(-40, 40, 100_000)
 for h in (1.0, 0.01):
-    s = subtropical_add(a, b, h)
+    s = subtropical(h).add(a, b)
     m = np.maximum(a, b)
     assert np.all(s >= m) and np.all(s <= m + h * np.log(2))
     print(f"h = {h}: 100000 random pairs inside the [max, max + h·log 2] band")

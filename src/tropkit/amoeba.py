@@ -35,7 +35,7 @@ from scipy.spatial import cKDTree
 from .dequantize import SparsePolynomial
 from .errors import ScaleRangeError
 from .polytope import _hull_3d
-from .semiring import _BLOCK_ELEMENTS
+from .semiring import _BLOCK_ELEMENTS, _check_h
 
 __all__ = [
     "Window",
@@ -148,9 +148,7 @@ def deform_polynomial(f: SparsePolynomial, h: float) -> SparsePolynomial:
     ScaleRangeError
         If some ``|c|^{1/h}`` overflows or underflows double range.
     """
-    h = float(h)
-    if not h > 0:
-        raise ValueError("h must be positive")
+    h = _check_h(h)
     if h == 1.0:
         return f
     terms = []
@@ -188,9 +186,7 @@ def _fibre_roots(f: SparsePolynomial, h: float, x1s, angle_samples: int):
     """
     if f.dim != 2:
         raise ValueError("amoeba slicing expects a bivariate polynomial")
-    h = float(h)
-    if not h > 0:
-        raise ValueError("h must be positive")
+    h = _check_h(h)
     if angle_samples < 1:
         raise ValueError("need at least one phase sample")
     exps = np.array(f.support, dtype=int)
@@ -361,7 +357,7 @@ def sample_amoeba(
     """
     if slices < 0:
         raise ValueError("slice count must be nonnegative")
-    h = float(h)
+    h = _check_h(h)
     collected = []
     found = kept = degenerate = 0
     ranges = ((window.xmin, window.xmax), (window.ymin, window.ymax))

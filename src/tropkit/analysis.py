@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError
-from .semiring import _BLOCK_ELEMENTS, Semiring, maxplus
+from .errors import InputFormatError, _reading
+from .semiring import _BLOCK_ELEMENTS, Semiring, _common_spec, maxplus
 
 __all__ = [
     "GridDomain",
@@ -160,14 +160,6 @@ def grid_tolerance(domain: GridDomain) -> float:
     return 10.0 * max(domain.spacing)
 
 
-def _require_same_grid(a: GridFunction, b: GridFunction) -> Semiring:
-    if a.spec != b.spec:
-        raise ValueError("operands live in different semirings")
-    if a.domain != b.domain:
-        raise ValueError("operands are sampled on different grids")
-    return a.spec
-
-
 def idempotent_integral(phi: GridFunction) -> float:
     """⊕-integral over the whole box: sup (max-plus) or inf (min-plus)."""
     return float(phi.spec.reduce(phi.values))
@@ -178,7 +170,9 @@ def measure_integral(phi: GridFunction, psi: GridFunction) -> float:
 
     This is the idempotent scalar product ⟨φ, ψ⟩.
     """
-    spec = _require_same_grid(phi, psi)
+    spec = _common_spec(phi, psi)
+    if phi.domain != psi.domain:
+        raise ValueError("operands are sampled on different grids")
     return float(spec.reduce(spec.mul(phi.values, psi.values)))
 
 
@@ -191,9 +185,7 @@ def kernel_apply(kernel: GridFunction, phi: GridFunction) -> GridFunction:
     values by :meth:`Semiring.contract`, so the only temporary beyond the
     kernel itself is one block of stacked sums.
     """
-    if kernel.spec != phi.spec:
-        raise ValueError("kernel and argument live in different semirings")
-    spec = kernel.spec
+    spec = _common_spec(kernel, phi)
     dy = phi.dim
     dx = kernel.dim - dy
     if dx < 1:
@@ -221,9 +213,7 @@ def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
     ``p_φ + p_ψ − 1``; argument indices add exactly, so no interpolation is
     involved.  Over min-plus this is the inf-convolution.
     """
-    spec = phi.spec
-    if psi.spec != spec:
-        raise ValueError("operands live in different semirings")
+    spec = _common_spec(phi, psi)
     if not spec.is_idempotent:
         raise ValueError("sup-convolution needs an idempotent semiring")
     if phi.dim != psi.dim:
@@ -441,23 +431,17 @@ def read_grid_csv(path, spec: Semiring | None = None) -> GridFunction:
     if not lines:
         raise InputFormatError("empty grid file", path=str(path), line=1)
     head = lines[0].split(",")
-    try:
-        dim = int(head[0])
-        if len(head) != 2 * dim + 2:
-            raise ValueError
-        lower = [float(t) for t in head[1 : 1 + dim]]
-        upper = [float(t) for t in head[1 + dim : 1 + 2 * dim]]
-        points = int(head[-1])
-    except ValueError:
-        raise InputFormatError(
-            "header must be 'dim,lower...,upper...,points_per_axis'",
-            path=str(path),
-            line=1,
-        ) from None
-    try:
+    with _reading(path, 1):
+        try:
+            dim = int(head[0])
+            if len(head) != 2 * dim + 2:
+                raise ValueError
+            lower = [float(t) for t in head[1 : 1 + dim]]
+            upper = [float(t) for t in head[1 + dim : 1 + 2 * dim]]
+            points = int(head[-1])
+        except ValueError:
+            raise ValueError("header must be 'dim,lower...,upper...,points_per_axis'") from None
         dom = GridDomain(lower, upper, points)
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path=str(path), line=1) from None
     expected = points**dim
     body = [t.strip() for t in lines[1:] if t.strip()]
     if len(body) != expected:
@@ -475,7 +459,5 @@ def read_grid_csv(path, spec: Semiring | None = None) -> GridFunction:
             raise InputFormatError(
                 f"bad value {token!r}", path=str(path), line=lineno
             ) from None
-    try:
+    with _reading(path):
         return GridFunction(dom, values, spec)
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path=str(path)) from None

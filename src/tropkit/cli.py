@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, amoeba, dequantize, fractal, hamilton_jacobi, linalg, polytope, semiring
-from .errors import DivergenceError, DomainTooSmallError, InputFormatError, ScaleRangeError
-from .errors import _load_json
+from .errors import DivergenceError, InputFormatError, _load_json, _reading
 from .svgplot import polygon_svg, svg_scene
 
 __all__ = ["main"]
@@ -101,9 +100,22 @@ def _require(args, *names) -> None:
             raise InputFormatError(f"missing required argument {name!r}")
 
 
+_SCENARIO_KEYS = {
+    "masses": _parse_float_list,
+    "dt": float,
+    "horizon": float,
+    "potential": hamilton_jacobi.builtin_potential,
+    "convention": _spec_by_name,
+}
+
+
 def _parse_scenario(path) -> tuple[hamilton_jacobi.MechanicalSystem, semiring.Semiring]:
-    """Key-value scenario file: the system, and the semiring ``convention`` names."""
-    fields: dict[str, str] = {}
+    """Key-value scenario file: the system, and the semiring ``convention`` names.
+
+    Each value is read on its own line, so a bad one names that line; other
+    keys are ignored.
+    """
+    fields = {"potential": None, "convention": semiring.minplus()}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -114,31 +126,22 @@ def _parse_scenario(path) -> tuple[hamilton_jacobi.MechanicalSystem, semiring.Se
                 raise InputFormatError(
                     f"expected 'key value', got {text!r}", path=str(path), line=lineno
                 )
-            fields[key.lower()] = value.strip()
+            if key.lower() in _SCENARIO_KEYS:
+                with _reading(path, lineno):
+                    fields[key.lower()] = _SCENARIO_KEYS[key.lower()](value.strip())
     for required in ("masses", "dt", "horizon"):
         if required not in fields:
             raise InputFormatError(f"scenario lacks {required!r}", path=str(path))
-    try:
-        masses = _parse_float_list(fields["masses"])
-        potential = hamilton_jacobi.builtin_potential(fields.get("potential", "zero"))
-        system = hamilton_jacobi.MechanicalSystem(
-            masses=tuple(masses),
-            dt=float(fields["dt"]),
-            horizon=float(fields["horizon"]),
-            potential=potential,
-        )
-        return system, _spec_by_name(fields.get("convention", "minplus"))
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path=str(path)) from None
+    convention = fields.pop("convention")
+    with _reading(path):
+        return hamilton_jacobi.MechanicalSystem(**fields), convention
 
 
 def _read_tropical_poly(path) -> amoeba.TropicalPolynomial:
     obj = _load_json(path)
-    try:
+    with _reading(path):
         terms = [(tuple(int(e) for e in t["exp"]), float(t["coeff"])) for t in obj["terms"]]
         return amoeba.TropicalPolynomial(int(obj["dim"]), tuple(terms))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed tropical polynomial JSON: {exc}", path=str(path)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,7 @@ def cmd_semiring_check(args) -> int:
         # deformation sandwich: max(u,v) <= u ⊕_h v <= max(u,v) + h·log 2
         u = rng.uniform(-50, 50, size=n)
         v = rng.uniform(-50, 50, size=n)
-        smooth = semiring.subtropical_add(u, v, h)
+        smooth = spec.add(u, v)
         hi = np.maximum(u, v)
         violations = int(np.sum((smooth < hi) | (smooth > hi + h * math.log(2.0))))
         good = violations == 0
@@ -280,7 +283,9 @@ def cmd_hj_viscous(args) -> int:
     sys_, _ = _parse_scenario(args.scenario)
     initial = analysis.read_grid_csv(args.initial, semiring.maxplus())
     if args.dequantize:  # stay in S = h·log u, never forming e^{S/h}
-        out = hamilton_jacobi._viscous_action(initial, sys_, args.h).S
+        out = hamilton_jacobi.lax_oleinik_evolve(
+            hamilton_jacobi.dequantize_solution(initial, args.h), sys_
+        ).S
     else:
         out = hamilton_jacobi.viscous_solve(initial, sys_, args.h)
     _emit(args, analysis.grid_csv_text(out))
@@ -323,11 +328,8 @@ def cmd_minkowski(args) -> int:
     _require(args, "poly_p", "poly_q")
     operands = []
     for path in (args.poly_p, args.poly_q):
-        obj = _load_json(path)
-        try:
-            operands.append(polytope.polytope_from_json(obj))
-        except ValueError as exc:
-            raise InputFormatError(str(exc), path=str(path)) from None
+        with _reading(path):
+            operands.append(polytope.polytope_from_json(_load_json(path)))
     out = (polytope.minkowski_mul if args.op == "mul" else polytope.minkowski_add)(*operands)
     _emit(args, _polytope_json_text(out))
     return 0
@@ -399,10 +401,10 @@ def cmd_amoeba(args) -> int:
 def cmd_tropical_curve(args) -> int:
     _require(args, "poly")
     tf = _read_tropical_poly(args.poly)
+    window = amoeba.Window.parse(args.window) if args.window else amoeba.Window(-5, 5, -5, 5)
     pl = amoeba.tropical_variety(tf)
     _emit(args, json.dumps(pl.to_json(), indent=2) + "\n")
     if args.svg:
-        window = amoeba.Window.parse(args.window) if args.window else amoeba.Window(-5, 5, -5, 5)
         _write_svg(args.svg, svg_scene(window, pl_set=pl))
     return 0
 
@@ -451,8 +453,8 @@ def _selftest_semiring():
         ("maxplus order 2 ≼ 5", mp.leq(2.0, 5.0)),
         ("minplus order has 5 ≼ 2", mn.leq(5.0, 2.0) and not mn.leq(2.0, 5.0)),
         ("bottom is least", mp.leq(-math.inf, -1e9)),
-        ("smoothed 0 ⊕_1 0 = log 2", semiring.subtropical_add(0.0, 0.0, 1.0) == math.log(2.0)),
-        ("smoothed u ⊕_h -inf = u", semiring.subtropical_add(1.5, -math.inf, 0.3) == 1.5),
+        ("smoothed 0 ⊕_1 0 = log 2", semiring.subtropical(1.0).add(0.0, 0.0) == math.log(2.0)),
+        ("smoothed u ⊕_h -inf = u", semiring.subtropical(0.3).add(1.5, -math.inf) == 1.5),
     ]
 
 
@@ -762,7 +764,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, DivergenceError, DomainTooSmallError, ScaleRangeError, OSError) as exc:
+    except (ValueError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError, _load_json
+from .errors import _load_json, _reading
 from .polytope import Polytope, convex_hull
+from .semiring import _check_h
 
 __all__ = [
     "SparsePolynomial",
@@ -142,18 +143,12 @@ def poly_to_json(f: SparsePolynomial) -> dict:
 
 
 def poly_from_json(obj: dict, path: str | None = None) -> SparsePolynomial:
-    try:
-        dim = int(obj["dim"])
+    with _reading(path):
         terms = [
             (tuple(int(e) for e in t["exp"]), complex(t["re"], t.get("im", 0.0)))
             for t in obj["terms"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed polynomial JSON: {exc}", path=path) from None
-    try:
-        return SparsePolynomial(dim, tuple(terms))
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path=path) from None
+        return SparsePolynomial(int(obj["dim"]), tuple(terms))
 
 
 def read_poly_json(path) -> SparsePolynomial:
@@ -175,13 +170,8 @@ def dequantize_at(f: SparsePolynomial, h: float, x) -> float:
     exponentials stay bounded by 1.  Total cancellation of the rescaled sum
     returns -inf (the max-plus bottom).
     """
-    h = float(h)
-    if not h > 0:
-        raise ValueError("h must be positive")
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (f.dim,):
-        raise ValueError(f"point must have {f.dim} coordinates")
-    dots = f.exponent_array() @ xv
+    h = _check_h(h)
+    dots = f.exponent_array() @ _point(f, x)
     m = float(dots.max())
     total = 0j
     for k, (_, coeff) in enumerate(f.terms):
@@ -194,18 +184,21 @@ def dequantize_at(f: SparsePolynomial, h: float, x) -> float:
 
 def dequantize_limit(f: SparsePolynomial, x) -> float:
     """The h → 0 limit: the tropicalization ``max_a ⟨a, x⟩``."""
+    return float((f.exponent_array() @ _point(f, x)).max())
+
+
+def _point(f: SparsePolynomial, x) -> np.ndarray:
+    """``x`` as an array, if it is a finite point of f's space."""
     xv = np.asarray(x, dtype=float)
-    if xv.shape != (f.dim,):
-        raise ValueError(f"point must have {f.dim} coordinates")
-    return float((f.exponent_array() @ xv).max())
+    if xv.shape != (f.dim,) or not np.isfinite(xv).all():
+        raise ValueError(f"point must have {f.dim} finite coordinates")
+    return xv
 
 
 # -- Newton polytope and its dual description -------------------------------
 
 def newton_polytope(f: SparsePolynomial) -> Polytope:
     """conv{a : c_a ≠ 0}, computed on exact integer coordinates."""
-    if f.dim > 3:
-        raise ValueError("exact hulls are implemented for dimensions 1 to 3")
     return convex_hull(f.support, dim=f.dim)
 
 

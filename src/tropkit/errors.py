@@ -1,4 +1,5 @@
-"""Shared exception types, and the JSON file reader that raises one.
+"""Shared exception types, the JSON file reader that raises one, and the
+context manager that turns a bad value read from a file into one.
 
 Everything here derives from a built-in exception so that callers who do not
 care about the fine distinctions can still catch ``ValueError`` /
@@ -7,6 +8,7 @@ care about the fine distinctions can still catch ``ValueError`` /
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 __all__ = [
@@ -50,7 +52,7 @@ class InputFormatError(ValueError):
     """
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
-        self.path = path
+        self.path = None if path is None else str(path)
         self.line = line
         where = ""
         if path is not None:
@@ -69,3 +71,17 @@ def _load_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None
+
+
+@contextmanager
+def _reading(path, line: int | None = None):
+    """Report a ``ValueError`` raised while a value is built from the file at
+    ``path`` as :class:`InputFormatError` at ``path[:line]``, and so a
+    ``KeyError`` or ``TypeError``: a missing or mistyped JSON field."""
+    try:
+        yield
+    except InputFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        message = str(exc) if isinstance(exc, ValueError) else f"malformed JSON: {exc!r}"
+        raise InputFormatError(message, path=path, line=line) from None

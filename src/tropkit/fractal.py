@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError, ScaleRangeError
+from .errors import InputFormatError, ScaleRangeError, _reading
 
 __all__ = [
     "PointCloud",
@@ -286,25 +286,17 @@ def _read_rows(path) -> list[list[float]]:
 
 def read_point_cloud(path) -> PointCloud:
     """Read one point per row (comma or whitespace separated; ``#`` comments)."""
-    rows = np.array(_read_rows(path))
-    try:
-        return PointCloud(rows)
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path=str(path)) from None
+    with _reading(path):
+        return PointCloud(np.array(_read_rows(path)))
 
 
 def read_sampled_measure(path) -> SampledMeasure:
     """Read one atom per row, last column the weight."""
     rows = np.array(_read_rows(path))
-    if rows.shape[1] < 2:
-        raise InputFormatError(
-            "a measure needs at least one coordinate and a weight column",
-            path=str(path),
-        )
-    try:
+    with _reading(path):
+        if rows.shape[1] < 2:
+            raise ValueError("a measure needs at least one coordinate and a weight column")
         return SampledMeasure(rows[:, :-1], rows[:, -1])
-    except ValueError as exc:
-        raise InputFormatError(str(exc), path=str(path)) from None
 
 
 def write_point_cloud(cloud: PointCloud, path) -> None:

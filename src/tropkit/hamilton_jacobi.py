@@ -24,6 +24,9 @@ the coordinates ``S = h·log u`` its heat semigroup is the same step over
 hardens into the max-plus step as h → 0 (Maslov dequantization).  From
 ``S₀ = −x²`` with m = 1 it gives ``−x²/(1 + 2t) − (h/2)·log(1 + 2t)`` away
 from the walls: the gap to the Lax–Oleinik flow is exactly that.
+:func:`dequantize_solution` turns a positive u into that ``subtropical(h)``
+action, so :func:`viscous_solve` is :func:`lax_oleinik_evolve` between the
+change of variables and its inverse.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .analysis import GridDomain, GridFunction
 from .errors import DomainTooSmallError
-from .semiring import Semiring, maxplus, subtropical
+from .semiring import Semiring, _common_spec, subtropical
 
 __all__ = [
     "MechanicalSystem",
@@ -128,9 +131,9 @@ def builtin_potential(text: str) -> Callable | None:
     raise ValueError(f"unknown potential {text!r}")
 
 
-def _check_dimension(phi: GridFunction, sys: MechanicalSystem) -> None:
-    if phi.dim != sys.dim:
-        raise ValueError(f"grid dimension {phi.dim} != system dimension {sys.dim}")
+def _check_dimension(domain: GridDomain, sys: MechanicalSystem) -> None:
+    if domain.dim != sys.dim:
+        raise ValueError(f"grid dimension {domain.dim} != system dimension {sys.dim}")
 
 
 def _axis_kernels(domain: GridDomain, sys: MechanicalSystem, spec: Semiring) -> list[np.ndarray]:
@@ -191,9 +194,8 @@ def quadratic_kernel(domain: GridDomain, sys: MechanicalSystem, spec: Semiring) 
     :func:`lax_oleinik_step` applies one axis at a time; it is kept as a
     reference for that step.
     """
+    _check_dimension(domain, sys)
     d = domain.dim
-    if d != sys.dim:
-        raise ValueError("kernel domain does not match the system dimension")
     terms = []
     for i, kern in enumerate(_axis_kernels(domain, sys, spec)):
         shape = [1] * (2 * d)
@@ -251,7 +253,7 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
     """
     phi = state.S
     spec = phi.spec
-    _check_dimension(phi, sys)
+    _check_dimension(phi.domain, sys)
     if spec.is_idempotent:
         _check_support(phi, sys)
     dom = phi.domain
@@ -265,7 +267,11 @@ def lax_oleinik_step(state: ActionState, sys: MechanicalSystem) -> ActionState:
 
 
 def lax_oleinik_evolve(initial: GridFunction, sys: MechanicalSystem) -> ActionState:
-    """Apply :func:`lax_oleinik_step` ``horizon/dt`` times starting at t = 0."""
+    """Apply :func:`lax_oleinik_step` ``horizon/dt`` times starting at t = 0.
+
+    The grid must have the system's dimension, at horizon 0 too.
+    """
+    _check_dimension(initial.domain, sys)
     state = ActionState(initial, 0.0)
     for _ in range(sys.steps):
         state = lax_oleinik_step(state, sys)
@@ -275,35 +281,30 @@ def lax_oleinik_evolve(initial: GridFunction, sys: MechanicalSystem) -> ActionSt
 def viscous_solve(u0: GridFunction, sys: MechanicalSystem, h: float) -> GridFunction:
     """Solve ``h·∂u/∂t = Σ (h²/2m_i)·∂²u/∂x_i² + V·u`` to the horizon.
 
-    The walls reflect.  This is :func:`lax_oleinik_evolve` over
-    ``subtropical(h)`` from ``S₀ = h·log u₀``, returned as ``e^{S/h}``.  Each
+    The walls reflect.  This is :func:`lax_oleinik_evolve` from the
+    ``subtropical(h)`` action ``S₀ = h·log u₀`` of :func:`dequantize_solution`,
+    returned as ``e^{S/h}``.  Each
     step convolves with the reflected heat kernel under trapezoid weights,
     which keeps constants and trapezoid mass, then multiplies by
     ``e^{V·Δt/h}``.
 
     ``u0`` must be strictly positive so that ``h·log u`` stays meaningful.
     """
-    s = _viscous_action(u0, sys, h).S
+    s = lax_oleinik_evolve(dequantize_solution(u0, h), sys).S
     return u0 if sys.horizon == 0 else u0.with_values(np.exp(s.values / h))
-
-
-def _viscous_action(u0: GridFunction, sys: MechanicalSystem, h: float) -> ActionState:
-    """Evolve ``S₀ = h·log u₀`` over ``subtropical(h)``: S out, no ``e^{S/h}``."""
-    s0 = GridFunction(u0.domain, dequantize_solution(u0, h).values, subtropical(h))
-    _check_dimension(s0, sys)
-    return lax_oleinik_evolve(s0, sys)
 
 
 def dequantize_solution(u: GridFunction, h: float) -> GridFunction:
     """Map a positive solution of the smoothed equation to ``S = h·log u``.
 
-    The result is a max-plus grid function (an action).
+    The result is an action over ``subtropical(h)``: the semiring whose
+    Lax–Oleinik step is the heat step of u, so :func:`lax_oleinik_evolve`
+    evolves it as it stands.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    spec = subtropical(h)
     if not np.all(u.values > 0):
         raise ValueError("dequantization needs strictly positive values")
-    return GridFunction(u.domain, h * np.log(u.values), maxplus())
+    return GridFunction(u.domain, spec.h * np.log(u.values), spec)
 
 
 @dataclass(frozen=True)
@@ -339,9 +340,9 @@ def superposition_check(
     the defect is zero in exact arithmetic and bounded by rounding noise in
     floats.  Returns the defect together with both sides of the identity.
     """
-    if s1.spec != s2.spec or s1.domain != s2.domain:
-        raise ValueError("superposition operands must share grid and semiring")
-    spec = s1.spec
+    spec = _common_spec(s1, s2)
+    if s1.domain != s2.domain:
+        raise ValueError("superposition operands must share a grid")
     combined = s1.with_values(spec.add(spec.mul(lam1, s1.values), spec.mul(lam2, s2.values)))
     lhs = lax_oleinik_step(ActionState(combined, 0.0), sys).S
     r1 = lax_oleinik_step(ActionState(s1, 0.0), sys).S

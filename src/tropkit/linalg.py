@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceError, InputFormatError
-from .semiring import Semiring, minplus
+from .semiring import Semiring, _common_spec, minplus
 
 __all__ = [
     "SemiringMatrix",
@@ -102,15 +102,9 @@ class SemiringMatrix:
         return f"SemiringMatrix({self.entries.tolist()!r}, {self.spec!r})"
 
 
-def _require_same_spec(a: SemiringMatrix, b: SemiringMatrix) -> Semiring:
-    if a.spec != b.spec:
-        raise ValueError("operands live in different semirings")
-    return a.spec
-
-
 def mat_add(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
     """Entrywise ⊕ of two equal-shaped matrices over the same semiring."""
-    spec = _require_same_spec(a, b)
+    spec = _common_spec(a, b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return SemiringMatrix(spec.add(a.entries, b.entries), spec)
@@ -119,7 +113,7 @@ def mat_add(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
 def mat_mul(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
     """Semiring matrix product ``C[i, j] = ⊕_k A[i, k] ⊙ B[k, j]``: A's rows
     contract B's first axis, by :meth:`Semiring.contract` in bounded blocks."""
-    spec = _require_same_spec(a, b)
+    spec = _common_spec(a, b)
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     return SemiringMatrix(spec.contract(a.entries, b.entries), spec)
@@ -206,7 +200,7 @@ def solve_bellman(
     DivergenceError
         If iterates still change after ``2·n`` passes plus one, or ``h`` has no star.
     """
-    spec = _require_same_spec(h, f)
+    spec = _common_spec(h, f)
     if h.rows != h.cols:
         raise ValueError("Bellman system matrix must be square")
     if f.rows != h.rows:

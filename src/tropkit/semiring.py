@@ -7,9 +7,13 @@ Three concrete semirings share the carrier conventions of IEEE doubles:
 * min-plus: carrier ``R ∪ {+inf}``, ``a ⊕ b = min(a, b)``, ``a ⊙ b = a + b``,
   zero ``+inf``, unit ``0.0`` (the order dual of max-plus);
 * subtropical(h): the max-plus carrier with the smoothed addition
-  ``a ⊕_h b = h·log(exp(a/h) + exp(b/h))`` for a deformation parameter
-  ``h > 0``.  As ``h → 0`` the smoothed sum collapses onto ``max``; the gap is
-  bounded by ``h·log 2`` and is attained at ``a == b``.
+  ``a ⊕_h b = h·log(exp(a/h) + exp(b/h))`` for a deformation parameter h,
+  positive and finite.  As ``h → 0`` the smoothed sum collapses onto ``max``;
+  the gap is bounded by ``h·log 2`` and is attained at ``a == b``.
+
+Every function of the package that takes an h checks it with
+:func:`_check_h`, and every operation on two semiring-valued operands checks
+that they share a semiring with :func:`_common_spec`.
 
 :meth:`Semiring.reduce` is the one ⊕ over many terms (``max``, ``min``, or
 ``h·log Σ exp(v/h)`` in one shifted ``exp`` pass).  :meth:`Semiring.contract`
@@ -41,7 +45,6 @@ __all__ = [
     "maxplus",
     "minplus",
     "subtropical",
-    "subtropical_add",
 ]
 
 _VARIANTS = ("maxplus", "minplus", "subtropical")
@@ -74,8 +77,7 @@ class Semiring:
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown semiring variant {self.variant!r}")
         if self.variant == "subtropical":
-            if self.h is None or not self.h > 0:
-                raise ValueError("subtropical deformation requires h > 0")
+            _check_h(self.h)
         elif self.h is not None:
             raise ValueError("h only applies to the subtropical variant")
 
@@ -106,12 +108,19 @@ class Semiring:
 
     # -- operations --------------------------------------------------------
     def add(self, a, b):
-        """⊕ on scalars or arrays (elementwise)."""
+        """⊕ on scalars or arrays (elementwise).  Over ``subtropical(h)``,
+        ``max(a, b) + h·log1p(exp(-|a - b|/h))``: no overflow, full precision
+        at large gaps, and bottom (-inf) stays neutral.
+        """
         if self.variant == "maxplus":
             return _maybe_float(np.maximum(a, b))
         if self.variant == "minplus":
             return _maybe_float(np.minimum(a, b))
-        return subtropical_add(a, b, self.h)
+        hi = np.maximum(a, b, dtype=float)
+        with np.errstate(invalid="ignore"):
+            gap = hi - np.minimum(a, b, dtype=float)  # +inf when one side is bottom, NaN when both
+            out = hi + self.h * np.log1p(np.exp(-gap / self.h))
+        return _maybe_float(np.where(np.isneginf(hi), -math.inf, out))
 
     def mul(self, a, b):
         """⊙ on scalars or arrays (elementwise): ordinary addition.
@@ -234,6 +243,21 @@ def subtropical(h: float) -> Semiring:
     return Semiring("subtropical", float(h))
 
 
+def _check_h(h) -> float:
+    """``h`` as a float if it is a deformation parameter, else ValueError."""
+    if h is None or not 0.0 < float(h) < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    return float(h)
+
+
+def _common_spec(a, b) -> Semiring:
+    """The semiring that operands ``a`` and ``b`` both carry in ``.spec``;
+    ValueError if they differ."""
+    if a.spec != b.spec:
+        raise ValueError("operands live in different semirings")
+    return a.spec
+
+
 def _h_logsumexp(values, axis, h: float, out, overwrite: bool):
     """``h·log Σ exp(v/h)`` over ``axis``: SciPy 1.17's ``logsumexp`` steps,
     in place and with one ``exp`` pass.
@@ -261,27 +285,3 @@ def _h_logsumexp(values, axis, h: float, out, overwrite: bool):
     s += t_max
     return np.multiply(np.squeeze(s, axis=axis), h, out=out)
 
-
-def subtropical_add(u, v, h: float):
-    """Smoothed maximum ``h·log(exp(u/h) + exp(v/h))``, overflow-safe.
-
-    Evaluated as ``max(u, v) + h·log1p(exp(-|u - v|/h))``, which never
-    overflows and keeps full precision for large gaps.  Bottom (-inf)
-    arguments drop out of the sum, so -inf stays neutral; when both arguments
-    are -inf the result is -inf.
-
-    Satisfies ``max(u, v) <= u ⊕_h v <= max(u, v) + h·log 2`` with equality
-    on the right exactly at ``u == v``.
-    """
-    h = float(h)
-    if not h > 0:
-        raise ValueError("h must be positive")
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    hi = np.maximum(u_arr, v_arr)
-    lo = np.minimum(u_arr, v_arr)
-    with np.errstate(invalid="ignore"):
-        gap = hi - lo  # +inf when exactly one side is bottom, NaN when both
-        out = hi + h * np.log1p(np.exp(-gap / h))
-    out = np.where(np.isneginf(hi), -math.inf, out)
-    return _maybe_float(out)

@@ -124,7 +124,7 @@ def test_acceptance_2_deformation_bound():
         u = rng.uniform(-50.0, 50.0, size=n)
         v = rng.uniform(-50.0, 50.0, size=n)
         u[rng.random(n) < 0.02] = -np.inf
-        s = tk.subtropical_add(u, v, h)
+        s = tk.subtropical(h).add(u, v)
         m = np.maximum(u, v)
         violations += int(np.sum(s < m)) + int(np.sum(s > m + h * math.log(2.0)))
     ok = violations == 0

@@ -579,6 +579,21 @@ def test_variety_needs_two_terms():
         tropical_variety(TropicalPolynomial(1, (((0,), 0.0), ((1,), 0.0))))
 
 
+@pytest.mark.parametrize(
+    "dim, terms, message",
+    [
+        (0, (((), 0.0),), "at least 1"),
+        (2, (((1, 0), 0.0), ((1,), 0.0)), "does not have 2 entries"),
+        (2, (((1, 0), 0.0), ((1, 0), 1.0)), "duplicate exponent"),
+        (2, (), "at least one term"),
+    ],
+    ids=["dim-0", "short-exponent", "duplicate-exponent", "no-terms"],
+)
+def test_tropical_polynomial_rejections(dim, terms, message):
+    with pytest.raises(ValueError, match=message):
+        TropicalPolynomial(dim, terms)
+
+
 def test_pl_set_json_round_trip():
     pl = tropical_variety(TROP_LINE)
     back = PlanarPLSet.from_json(pl.to_json())

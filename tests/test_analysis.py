@@ -278,6 +278,27 @@ def test_minplus_convolution_matches_brute_force_bitwise():
     assert out.values.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("spec", [MP, MN], ids=["maxplus", "minplus"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convolution_with_bottoms_matches_brute_force_bitwise(spec, dim):
+    # bottom entries of φ are skipped, which must change nothing
+    rng = np.random.default_rng(dim)
+    pa, pb = 6, 4
+    a = rng.standard_normal((pa,) * dim)
+    b = rng.standard_normal((pb,) * dim)
+    a[rng.random(a.shape) < 0.4] = spec.zero
+    b[rng.random(b.shape) < 0.3] = spec.zero
+    a.flat[0] = spec.zero
+    phi = GridFunction(GridDomain((0.0,) * dim, (1.0,) * dim, pa), a, spec)
+    psi = GridFunction(GridDomain((0.0,) * dim, (0.6,) * dim, pb), b, spec)
+    ref = np.full((pa + pb - 1,) * dim, spec.zero)
+    for i in np.ndindex(a.shape):
+        for j in np.ndindex(b.shape):
+            g = tuple(x + y for x, y in zip(i, j))
+            ref[g] = spec.add(ref[g], spec.mul(a[i], b[j]))
+    assert sup_convolution(phi, psi).values.tobytes() == ref.tobytes()
+
+
 def test_convolution_2d():
     dom = GridDomain((0.0, 0.0), (1.0, 1.0), 9)
     phi = GridFunction.sample(lambda x, y: -(x**2) - y**2, dom, MP)

@@ -553,3 +553,85 @@ def test_infinite_window_is_one_error_line(poly_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: window bounds must be finite\n"
+
+
+def test_tropical_curve_bad_window_emits_nothing(tmp_path, capsys):
+    trop = tmp_path / "trop.json"
+    trop.write_text(json.dumps({"dim": 2, "terms": [
+        {"exp": [1, 0], "coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}, {"exp": [0, 0], "coeff": 0.0},
+    ]}))
+    svg = tmp_path / "t.svg"
+    assert main(["tropical-curve", str(trop), "--svg", str(svg), "--window=1,0,0,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: window must have positive width and height\n"
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("point", ["inf,0", "nan,0", "0,-inf", "1"])
+@pytest.mark.parametrize("h", [None, "0.5"])
+def test_dequantize_point_must_be_finite(poly_file, capsys, point, h):
+    argv = ["dequantize", poly_file, "--point", point] + (["--h", h] if h else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: point must have 2 finite coordinates\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("masses 1.0\ndt abc\nhorizon 1.0\n", 2, "could not convert string to float: 'abc'"),
+        ("# scenario\n\nmasses 1.0 x\ndt 0.5\nhorizon 1.0\n", 3, "could not convert string to float: 'x'"),
+        ("masses 1.0\ndt 0.5\nhorizon 1.0\npotential quadratic\n", 4, "'quadratic' needs a stiffness parameter"),
+        ("masses 1.0\ndt 0.5\nhorizon 1.0\nconvention foo\n", 4, "unknown convention 'foo'"),
+    ],
+    ids=["dt", "masses", "potential", "convention"],
+)
+def test_scenario_errors_name_their_line(tmp_path, capsys, text, line, message):
+    scen = tmp_path / "scen.txt"
+    scen.write_text(text)
+    init = tmp_path / "s0.csv"
+    write_grid_csv(GridFunction.constant(0.0, GridDomain(-1.0, 1.0, 11), minplus()), init)
+    assert main(["hj-evolve", str(scen), str(init)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {scen}:{line}: {message}\n"
+
+
+def test_hj_viscous_plain_matches_viscous_solve(tmp_path, capsys):
+    scen = tmp_path / "scen.txt"
+    scen.write_text("masses 1.0\ndt 0.25\nhorizon 0.5\npotential quadratic 0.5\n")
+    dom = GridDomain(-2.0, 2.0, 81)
+    u0 = GridFunction.sample(lambda x: np.exp(-(x**2) / 0.2), dom, maxplus())
+    init = tmp_path / "u0.csv"
+    write_grid_csv(u0, init)
+    assert main(["hj-viscous", str(scen), str(init), "--h", "0.1"]) == 0
+    system = tropkit.MechanicalSystem((1.0,), 0.25, 0.5, tropkit.builtin_potential("quadratic 0.5"))
+    expected = tropkit.grid_csv_text(tropkit.viscous_solve(u0, system, 0.1))
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("h", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    ["semiring-check", "hj-viscous", "hj-viscous --dequantize", "dequantize", "amoeba", "converge"],
+)
+def test_every_h_option_must_be_positive_and_finite(tmp_path, capsys, poly_file, command, h):
+    scen = tmp_path / "scen.txt"
+    scen.write_text("masses 1.0\ndt 0.5\nhorizon 0.5\n")
+    init = tmp_path / "u0.csv"
+    write_grid_csv(GridFunction.constant(1.0, GridDomain(-1.0, 1.0, 11), maxplus()), init)
+    window = ["--window=-1,1,-1,1", "--slices", "2", "--angles", "4"]
+    argv = {
+        "semiring-check": ["semiring-check", "--trials", "10"],
+        "hj-viscous": ["hj-viscous", str(scen), str(init)],
+        "hj-viscous --dequantize": ["hj-viscous", str(scen), str(init), "--dequantize"],
+        "dequantize": ["dequantize", poly_file, "--point", "0,0"],
+        "amoeba": ["amoeba", poly_file, *window],
+        "converge": ["converge", poly_file, *window],
+    }[command]
+    assert main([*argv, f"--h={h}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: h must be positive and finite, got [-\w.]+\n", err)

@@ -432,6 +432,25 @@ def test_viscous_input_checks():
         viscous_solve(plane, MechanicalSystem((1.0,), 0.5, 0.0), h=0.1)
 
 
+@pytest.mark.parametrize("spec", [MN, MP, subtropical(0.1)], ids=["minplus", "maxplus", "subtropical"])
+def test_evolve_checks_dimension_at_horizon_zero(spec):
+    plane = GridFunction.constant(0.0, GridDomain((-1.0, -1.0), (1.0, 1.0), 5), spec)
+    with pytest.raises(ValueError, match="grid dimension 2 != system dimension 1"):
+        lax_oleinik_evolve(plane, MechanicalSystem((1.0,), 0.5, 0.0))
+
+
+def test_dequantize_solution_is_a_subtropical_action():
+    # S = h·log u over subtropical(h): evolving it is the viscous step in S
+    dom = GridDomain(-1.0, 1.0, 41)
+    u0 = GridFunction.sample(lambda x: 1.0 + 0.5 * np.cos(3.0 * x), dom, MP)
+    sys = MechanicalSystem((1.0,), 0.25, 0.5)
+    s0 = dequantize_solution(u0, 0.1)
+    assert s0.spec == subtropical(0.1)
+    assert s0.values.tobytes() == (0.1 * np.log(u0.values)).tobytes()
+    s = lax_oleinik_evolve(s0, sys).S
+    assert np.exp(s.values / 0.1).tobytes() == viscous_solve(u0, sys, 0.1).values.tobytes()
+
+
 def test_viscous_long_horizon_relaxes_to_mean():
     # a step far wider than the box has no stability limit: reflected at
     # the walls, u flattens to its trapezoid mean

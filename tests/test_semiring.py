@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
+import tropkit as tk
 from tropkit import (
     DivergenceError,
     Semiring,
@@ -14,7 +15,6 @@ from tropkit import (
     minplus,
     semiring,
     subtropical,
-    subtropical_add,
 )
 
 RNG = np.random.default_rng(20260823)
@@ -68,16 +68,16 @@ def test_order_examples():
 
 def test_subtropical_examples():
     # 0 ⊕_1 0 = log 2, and scaling h scales the whole expression
-    assert subtropical_add(0.0, 0.0, 1.0) == math.log(2.0)
-    assert subtropical_add(0.0, 0.0, 0.25) == pytest.approx(0.25 * math.log(2.0), rel=1e-15)
+    assert subtropical(1.0).add(0.0, 0.0) == math.log(2.0)
+    assert subtropical(0.25).add(0.0, 0.0) == pytest.approx(0.25 * math.log(2.0), rel=1e-15)
     # direct evaluation of h·log(e^{u/h} + e^{v/h}) for a spread pair
     u, v, h = 3.0, 5.0, 0.5
     direct = h * math.log(math.exp(u / h) + math.exp(v / h))
-    assert subtropical_add(u, v, h) == pytest.approx(direct, rel=1e-14)
+    assert subtropical(h).add(u, v) == pytest.approx(direct, rel=1e-14)
     # far-apart arguments collapse to max without overflow
-    assert subtropical_add(0.0, 1000.0, 0.1) == 1000.0
-    assert subtropical_add(-math.inf, 4.0, 0.3) == 4.0
-    assert subtropical_add(-math.inf, -math.inf, 0.3) == -math.inf
+    assert subtropical(0.1).add(0.0, 1000.0) == 1000.0
+    assert subtropical(0.3).add(-math.inf, 4.0) == 4.0
+    assert subtropical(0.3).add(-math.inf, -math.inf) == -math.inf
 
 
 def test_subtropical_spec_object():
@@ -133,6 +133,36 @@ def test_invalid_specs():
         Semiring("maxplus", h=0.5)  # h is meaningless without smoothing
     with pytest.raises(ValueError):
         Semiring("madplus")
+
+
+def _h_entry_points():
+    """Every public function that takes a deformation parameter h, as h ↦ call."""
+    line = tk.SparsePolynomial(2, (((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), 1.0)))
+    win = tk.Window(-1.0, 1.0, -1.0, 1.0)
+    ones = tk.GridFunction.constant(1.0, tk.GridDomain(-1.0, 1.0, 5), maxplus())
+    system = tk.MechanicalSystem((1.0,), 0.5, 0.5)
+    return {
+        "subtropical": subtropical,
+        "Semiring": lambda h: Semiring("subtropical", h),
+        "dequantize_at": lambda h: tk.dequantize_at(line, h, [0.0, 0.0]),
+        "deform_polynomial": lambda h: tk.deform_polynomial(line, h),
+        "slice_roots": lambda h: tk.slice_roots(line, h, 0.0, 4),
+        "amoeba_slice": lambda h: tk.amoeba_slice(line, h, 0.0, 4),
+        "sample_amoeba": lambda h: tk.sample_amoeba(line, h, win, 2, 4),
+        "sample_amoeba-no-slices": lambda h: tk.sample_amoeba(line, h, win, 0, 4),
+        "convergence_study": lambda h: tk.convergence_study(line, [h], win, 2, 4),
+        "dequantize_solution": lambda h: tk.dequantize_solution(ones, h),
+        "viscous_solve": lambda h: tk.viscous_solve(ones, system, h),
+    }
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("entry", list(_h_entry_points()))
+def test_every_h_must_be_positive_and_finite(entry, h):
+    call = _h_entry_points()[entry]
+    call(0.5)  # a valid h passes
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        call(h)
 
 
 def test_validate_rejects_nan_and_antibottom():
@@ -245,7 +275,7 @@ def test_subtropical_laws_small_relative_error(h):
 def test_deformation_sandwich_no_float_violations(h):
     u = RNG.uniform(-100.0, 100.0, size=20000)
     v = RNG.uniform(-100.0, 100.0, size=20000)
-    smooth = subtropical_add(u, v, h)
+    smooth = subtropical(h).add(u, v)
     hi = np.maximum(u, v)
     # max ≤ u ⊕_h v ≤ max + h log 2, with zero tolerance: the implementation
     # adds a nonnegative log1p term, and log1p rounding is monotone
@@ -256,14 +286,14 @@ def test_deformation_sandwich_no_float_violations(h):
 def test_deformation_collapses_to_max():
     u = RNG.uniform(-5.0, 5.0, size=200)
     v = RNG.uniform(-5.0, 5.0, size=200)
-    gaps = [np.max(subtropical_add(u, v, h) - np.maximum(u, v)) for h in (1.0, 0.1, 0.01)]
+    gaps = [np.max(subtropical(h).add(u, v) - np.maximum(u, v)) for h in (1.0, 0.1, 0.01)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 0.01 * math.log(2.0)
 
 
 def test_scalar_inputs_return_python_floats():
     assert isinstance(maxplus().add(1.0, 2.0), float)
-    assert isinstance(subtropical_add(1.0, 2.0, 0.5), float)
+    assert isinstance(subtropical(0.5).add(1.0, 2.0), float)
 
 
 # ---------------------------------------------------------------------------
