@@ -210,8 +210,28 @@ def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
 
     Both operands must share spacing, dimension (1 or 2) and semiring.  The
     result lives on the Minkowski sum of the two boxes with point count
-    ``p_φ + p_ψ − 1``; argument indices add exactly, so no interpolation is
-    involved.  Over min-plus this is the inf-convolution.
+    ``q = p_φ + p_ψ − 1``; argument indices add exactly, so no interpolation
+    is involved.  Over min-plus this is the inf-convolution.
+
+    The kernel views φ as an (m, p_φ) array, m = 1 in 1-D, and ψᵀ as a
+    contiguous (p_ψ, n) array, n = 1 in 1-D.  It takes the rows x₁ of φ one
+    at a time and keeps a partial c of shape (q, n).  For each x₂ with
+    φ(x₁, x₂) above bottom it forms ``φ(x₁, x₂) ⊙ ψᵀ`` in one contiguous add
+    and applies ``c[x₂ : x₂ + p_ψ] ⊕= …`` in place; then it ⊕-folds cᵀ into
+    output rows x₁ … x₁ + n − 1.  Both steps run on contiguous operands and
+    a scalar, numpy's fastest loops.  A block of k rows at once needs a
+    broadcast add and a (q, k, n) partial; with the partial capped at 2¹⁶
+    doubles it measured slower at every size tried, so one row is the block.
+    Bottom entries of φ add only bottoms and are skipped, so are rows of φ
+    that hold nothing else.
+
+    The work is the p_φ^d·p_ψ^d real sums, O(p_φ^d·p_ψ^d): no subquadratic
+    exact algorithm is known for a general (max, +) convolution.  Beyond the
+    operands and the result it holds ψᵀ, c and one row of sums,
+    (q + 2·p_ψ)·n doubles, about the result's size in 2-D.  Each output
+    entry takes its terms in the order x₁ ascending, x₂ ascending within x₁,
+    the new term always the second operand of the ⊕: that order decides which of +0.0 and −0.0 a tie keeps, and it is the
+    order of the plain loop over x, so the result is that loop's to the bit.
     """
     spec = _common_spec(phi, psi)
     if not spec.is_idempotent:
@@ -225,21 +245,31 @@ def sup_convolution(phi: GridFunction, psi: GridFunction) -> GridFunction:
             raise ValueError(f"grid spacing mismatch: {sa} vs {sb}")
 
     pa, pb = phi.domain.points_per_axis, psi.domain.points_per_axis
-    out_shape = tuple(pa + pb - 1 for _ in range(phi.dim))
-    out = np.full(out_shape, spec.zero)
-    pv = psi.values
-    for idx in np.ndindex(*phi.values.shape):
-        v = phi.values[idx]
-        if v == spec.zero:
+    q = pa + pb - 1
+    add, zero = spec._add_ufunc, spec.zero
+    rows = phi.values.reshape(-1, pa)
+    psi_t = psi.values.reshape(-1, pb).T.ravel()  # ψᵀ, flattened
+    n = psi_t.size // pb
+    out = np.full((rows.shape[0] + n - 1, q), zero)
+    c = np.empty(q * n)
+    sums = np.empty(pb * n)
+    for x1, row in enumerate(rows):
+        cols = np.flatnonzero(row != zero)
+        if cols.size == 0:
             continue
-        window = tuple(slice(i, i + pb) for i in idx)
-        out[window] = spec.add(out[window], v + pv)
+        c.fill(zero)
+        for x2, v in zip(cols.tolist(), row[cols].tolist()):
+            np.add(v, psi_t, out=sums)
+            window = c[x2 * n : (x2 + pb) * n]
+            add(window, sums, out=window)
+        target = out[x1 : x1 + n]
+        add(target, c.reshape(q, n).T, out=target)
     dom = GridDomain(
         tuple(a + b for a, b in zip(phi.domain.lower, psi.domain.lower)),
         tuple(a + b for a, b in zip(phi.domain.upper, psi.domain.upper)),
-        pa + pb - 1,
+        q,
     )
-    return GridFunction(dom, out, spec)
+    return GridFunction(dom, out.reshape((q,) * phi.dim), spec)
 
 
 def _upper_hull(x: np.ndarray, c: np.ndarray):
@@ -408,9 +438,8 @@ def grid_csv_text(phi: GridFunction) -> str:
         + [repr(v) for v in dom.upper]
         + [str(dom.points_per_axis)]
     )
-    lines = [header]
-    lines.extend(repr(float(v)) for v in phi.values.ravel())
-    return "\n".join(lines) + "\n"
+    body = "\n".join(map(repr, phi.values.ravel().tolist()))
+    return f"{header}\n{body}\n"
 
 
 def write_grid_csv(phi: GridFunction, path) -> None:
@@ -443,21 +472,27 @@ def read_grid_csv(path, spec: Semiring | None = None) -> GridFunction:
             raise ValueError("header must be 'dim,lower...,upper...,points_per_axis'") from None
         dom = GridDomain(lower, upper, points)
     expected = points**dim
-    body = [t.strip() for t in lines[1:] if t.strip()]
+    tokens = [t.strip() for t in lines[1:]]
+    body = [t for t in tokens if t]
     if len(body) != expected:
         raise InputFormatError(
             f"expected {expected} values, found {len(body)}",
             path=str(path),
             line=len(lines),
         )
-    values = np.empty(expected)
-    for k, token in enumerate(body):
-        try:
-            values[k] = float(token)
-        except ValueError:
-            lineno = [i for i, t in enumerate(lines[1:], start=2) if t.strip()][k]
-            raise InputFormatError(
-                f"bad value {token!r}", path=str(path), line=lineno
-            ) from None
+    try:
+        values = np.fromiter(map(float, body), dtype=float, count=expected)
+    except ValueError:
+        # only now find the first bad token's line
+        for lineno, token in enumerate(tokens, start=2):
+            if not token:
+                continue
+            try:
+                float(token)
+            except ValueError:
+                raise InputFormatError(
+                    f"bad value {token!r}", path=str(path), line=lineno
+                ) from None
+        raise
     with _reading(path):
         return GridFunction(dom, values, spec)

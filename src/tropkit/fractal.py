@@ -237,11 +237,13 @@ def local_dimension(mu: SampledMeasure, x, s_values) -> DimensionEstimate:
     ------
     ScaleRangeError
         If some requested ball carries zero mass (scale out of range).
+    ValueError
+        If x is not a finite point of the measure's space.
     """
     s = _check_ladder(s_values)
     xv = np.asarray(x, dtype=float).reshape(1, -1)
-    if xv.shape[1] != mu.dim:
-        raise ValueError("probe point dimension does not match the measure")
+    if xv.shape[1] != mu.dim or not np.isfinite(xv).all():
+        raise ValueError(f"probe point must have {mu.dim} finite coordinates")
     dist = np.linalg.norm(mu.points - xv, axis=1)
     masses = np.empty_like(s)
     for k, si in enumerate(s):

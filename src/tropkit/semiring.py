@@ -176,12 +176,18 @@ class Semiring:
             self.reduce(kern[rows[-1]] + a, axis + 1, out=out[rows], overwrite=True)
         return out
 
+    @property
+    def _add_ufunc(self) -> np.ufunc:
+        """⊕ as a ufunc, for in-place and scattered use: ``np.maximum`` or
+        ``np.minimum``.  Raises ValueError for ``subtropical(h)``."""
+        if not self.is_idempotent:
+            raise ValueError("⊕ is a ufunc only for idempotent addition")
+        return np.maximum if self.variant == "maxplus" else np.minimum
+
     def add_at(self, out, index, values) -> None:
         """``out[index] ⊕= values`` in place, repeated indices accumulating,
         as ``ufunc.at`` does; max-plus and min-plus only."""
-        if not self.is_idempotent:
-            raise ValueError("scattered ⊕ requires idempotent addition")
-        (np.maximum if self.variant == "maxplus" else np.minimum).at(out, index, values)
+        self._add_ufunc.at(out, index, values)
 
     def star(self, a: float) -> float:
         """The scalar closure ``a* = 1 ⊕ a ⊕ a⊙a ⊕ ...``: 0 for max-plus

@@ -310,6 +310,92 @@ def test_convolution_2d():
     assert np.array_equal(out.values[:9, :9], phi.values)
 
 
+def window_loop(phi, psi):
+    """Reference ⊛: one ⊕ of the shifted ψ per entry of φ, x₁ then x₂
+    ascending, the new term second, bottoms of φ skipped."""
+    spec, pb = phi.spec, psi.domain.points_per_axis
+    out = np.full(tuple(n + pb - 1 for n in phi.values.shape), spec.zero)
+    for idx in np.ndindex(*phi.values.shape):
+        v = phi.values[idx]
+        if v == spec.zero:
+            continue
+        window = tuple(slice(i, i + pb) for i in idx)
+        out[window] = spec.add(out[window], v + psi.values)
+    return out
+
+
+def grid_pair(spec, dim, a, b):
+    """φ and ψ with values ``a`` and ``b`` on grids of one spacing, 0.25."""
+    pa, pb = a.shape[0], b.shape[0]
+    phi = GridFunction(GridDomain((0.0,) * dim, (0.25 * (pa - 1),) * dim, pa), a, spec)
+    psi = GridFunction(GridDomain((-1.0,) * dim, (0.25 * (pb - 1) - 1.0,) * dim, pb), b, spec)
+    return phi, psi
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_convolution_matches_window_loop_bitwise(data):
+    # small integers tie often, and −0.0 against +0.0 shows the ⊕ order
+    spec = data.draw(st.sampled_from([MP, MN]))
+    dim = data.draw(st.integers(1, 2))
+    values = st.sampled_from([spec.zero, -0.0, 0.0, -1.0, 1.0, -2.0, 2.0, 0.5])
+    arrays = []
+    for p in (data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))):
+        entries = data.draw(st.lists(values, min_size=p**dim, max_size=p**dim))
+        arrays.append(np.array(entries).reshape((p,) * dim))
+    phi, psi = grid_pair(spec, dim, *arrays)
+    assert sup_convolution(phi, psi).values.tobytes() == window_loop(phi, psi).tobytes()
+
+
+@pytest.mark.parametrize("spec", [MP, MN], ids=["maxplus", "minplus"])
+def test_convolution_over_many_rows_matches_window_loop_bitwise(spec):
+    # 57 rows of φ, each its own step, against a ψ of another size
+    rng = np.random.default_rng(24)
+    a = rng.integers(-4, 5, size=(57, 57)).astype(float)
+    b = rng.integers(-4, 5, size=(38, 38)).astype(float)
+    for arr in (a, b):
+        arr[rng.random(arr.shape) < 0.3] = spec.zero
+        arr[rng.random(arr.shape) < 0.2] = -0.0
+    a[5:9] = spec.zero  # whole rows of bottoms
+    phi, psi = grid_pair(spec, 2, a, b)
+    assert sup_convolution(phi, psi).values.tobytes() == window_loop(phi, psi).tobytes()
+
+
+def test_convolution_at_p161_stays_small():
+    # the result and its copy are 0.8 MiB each, the partials under 0.7 MiB
+    rng = np.random.default_rng(161)
+    phi, psi = grid_pair(MP, 2, rng.standard_normal((161, 161)), rng.standard_normal((161, 161)))
+    tracemalloc.start()
+    try:
+        sup_convolution(phi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_spike_convolution_is_exact_and_skips_bottoms(monkeypatch):
+    rng = np.random.default_rng(7)
+    spike = np.full((161, 161), -math.inf)
+    spike[80, 53] = 0.25
+    dense = rng.standard_normal((161, 161))
+    phi, psi = grid_pair(MP, 2, spike, dense)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return np.maximum(*args, **kwargs)
+
+    monkeypatch.setattr(semiring.Semiring, "_add_ufunc", property(lambda self: counted))
+    out = sup_convolution(phi, psi).values
+    ref = np.full((321, 321), -math.inf)
+    ref[80:241, 53:214] = 0.25 + dense
+    assert out.tobytes() == ref.tobytes()
+    # one ⊕ step for the one finite entry, one fold of its row: the other
+    # 161² − 1 entries and 160 rows are skipped
+    assert len(calls) == 2
+
+
 def test_convolution_input_checks():
     a = GridFunction.constant(0.0, GridDomain(0.0, 1.0, 5), MP)
     b = GridFunction.constant(0.0, GridDomain(0.0, 1.0, 9), MP)  # different spacing

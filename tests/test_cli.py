@@ -149,6 +149,27 @@ def test_convolve(tmp_path, capsys):
     assert header == "1,-2.0,2.0,81"
 
 
+def test_convolve_2d_file_is_the_brute_force_sup(tmp_path):
+    rng = np.random.default_rng(41)
+    a, b = rng.standard_normal((41, 41)), rng.standard_normal((41, 41))
+    a[rng.random(a.shape) < 0.2] = -math.inf
+    b[rng.random(b.shape) < 0.2] = -math.inf
+    dom = GridDomain((-1.0, -1.0), (1.0, 1.0), 41)
+    write_grid_csv(GridFunction(dom, a, maxplus()), tmp_path / "a.csv")
+    write_grid_csv(GridFunction(dom, b, maxplus()), tmp_path / "b.csv")
+    out = tmp_path / "ab.csv"
+    assert main(["convolve", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "-o", str(out)]) == 0
+    # every g on its own: sup over the x with 0 ≤ x ≤ 40 and 0 ≤ g − x ≤ 40
+    ref = np.empty((81, 81))
+    for g1, g2 in np.ndindex(81, 81):
+        i0, i1 = max(0, g1 - 40), min(40, g1)
+        j0, j1 = max(0, g2 - 40), min(40, g2)
+        flipped = b[g1 - i1 : g1 - i0 + 1, g2 - j1 : g2 - j0 + 1][::-1, ::-1]
+        ref[g1, g2] = (a[i0 : i1 + 1, j0 : j1 + 1] + flipped).max()
+    body = "".join(f"{v!r}\n" for v in ref.ravel().tolist())
+    assert out.read_text() == "2,-2.0,-2.0,2.0,2.0,81\n" + body
+
+
 def test_hj_pipeline(tmp_path, capsys):
     scen = tmp_path / "scen.txt"
     scen.write_text("masses 1.0\ndt 0.5\nhorizon 1.0\npotential zero\n")
@@ -310,6 +331,16 @@ def test_fractal_bad_usage(capsys):
     assert main(["fractal-dim", "--scales", "1,2,3"]) == 2  # no cloud source
     capsys.readouterr()
     assert main(["fractal-dim", "--generator", "moon 3", "--scales", "1,2,3"]) == 1
+
+
+@pytest.mark.parametrize("point", ["inf", "nan"])
+def test_fractal_non_finite_probe_point_is_one_error_line(tmp_path, capsys, point):
+    meas = tmp_path / "mu.csv"
+    meas.write_text("0.25 1.0\n0.5 1.0\n0.75 1.0\n")
+    assert main(["fractal-dim", str(meas), "--point", point, "--scales", "1,2,3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: probe point must have 1 finite coordinates\n"
 
 
 def test_amoeba_command(poly_file, tmp_path, capsys):
